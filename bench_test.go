@@ -168,9 +168,12 @@ func BenchmarkTable1_Symmetrization(b *testing.B) {
 	var derived, total int64
 	for i := 0; i < b.N; i++ {
 		emb := lowerbound.Embed3ToK(inst.Alice, inst.Bob, inst.Charlie, k, rng)
-		cfg := comm.Config{N: inst.N(), Inputs: emb.Inputs, Shared: xrand.New(uint64(i))}
+		top, err := comm.NewTopology(inst.N(), emb.Inputs, xrand.New(uint64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(), Delta: 0.1,
-			Tag: fmt.Sprintf("bench/%d", i)}.Run(context.Background(), cfg)
+			Tag: fmt.Sprintf("bench/%d", i)}.RunOn(context.Background(), top)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,9 +199,12 @@ func BenchmarkTable1_BHM(b *testing.B) {
 		allZero := i%2 == 0
 		inst := lowerbound.SampleBHM(nBHM, allZero, rng)
 		red := lowerbound.Reduce(inst)
-		cfg := comm.Config{N: red.G.N(), Inputs: red.Inputs(), Shared: xrand.New(uint64(i))}
+		top, err := comm.NewTopology(red.G.N(), red.Inputs(), xrand.New(uint64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := protocol.SimLow{Eps: 0.2, AvgDegree: red.G.AvgDegree(), Delta: 0.1,
-			Tag: fmt.Sprintf("bhm/%d", i)}.Run(context.Background(), cfg)
+			Tag: fmt.Sprintf("bhm/%d", i)}.RunOn(context.Background(), top)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -324,12 +330,11 @@ func BenchmarkAblation_NoDup(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionReuse measures the engine's cached-view win: repeated
-// Test calls against one cluster through a Session (views built once)
-// versus the pre-engine path that rebuilds every player view per call
-// (protocol.Run over a throwaway comm.Config). Protocol work and
-// communication are identical in both arms; the gap is pure view
-// construction.
+// BenchmarkSessionReuse measures the cached-view win: repeated Test calls
+// against one cluster through a Session (views built once) versus
+// rebuilding every player view per call (protocol RunOn over a fresh
+// comm.Topology each iteration). Protocol work and communication are
+// identical in both arms; the gap is pure view construction.
 func BenchmarkSessionReuse(b *testing.B) {
 	b.ReportAllocs()
 	const n, d, k = 16384, 8.0, 8
@@ -361,10 +366,13 @@ func BenchmarkSessionReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := protocol.SimLow{Eps: 0.2, AvgDegree: d, Delta: 0.1}
-		cfg := comm.Config{N: cluster.N(), Inputs: cluster.inputs, Shared: cluster.shared}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Run(ctx, cfg); err != nil {
+			top, err := comm.NewTopology(cluster.N(), cluster.inputs, cluster.shared)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.RunOn(ctx, top); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -37,6 +37,7 @@ import (
 
 	"tricomm"
 	"tricomm/internal/harness/runner"
+	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
 	"tricomm/internal/service"
 	"tricomm/internal/transport"
@@ -76,13 +77,13 @@ func run() (int, error) {
 		intraW   = flag.Int("intra-workers", 0, "goroutines for the session's per-player hot loops and the ground-truth triangle search (<= 0: $TRICOMM_INTRA_WORKERS, then 1); reports are identical at any value")
 	)
 	flag.Parse()
-	intraWorkers = tricomm.IntraWorkers(*intraW)
+	intraWorkers = parwork.Workers(*intraW)
 
 	if *listScen {
 		fmt.Print(tricomm.ScenarioUsage())
 		return 0, nil
 	}
-	if _, err := parseScheme(*part); err != nil {
+	if _, err := tricomm.ParseSplitScheme(*part); err != nil {
 		return 1, err
 	}
 	if _, err := parseProtocol(*proto); err != nil {
@@ -158,7 +159,7 @@ func runLocal(spec scenario.Spec, eps float64, k int, proto, part, transp, fault
 		return 1, err
 	}
 	g := si.Graph
-	scheme, _ := parseScheme(part)
+	scheme, _ := tricomm.ParseSplitScheme(part)
 	protocol, _ := parseProtocol(proto)
 	transport, _ := tricomm.ParseTransport(transp)
 
@@ -320,10 +321,6 @@ func runServer(j serverJob) (int, error) {
 		fmt.Printf("check: all %d completed trials agree with ground truth\n", j.trials-aborted)
 	}
 	return 0, nil
-}
-
-func parseScheme(s string) (tricomm.SplitScheme, error) {
-	return tricomm.ParseSplitScheme(s)
 }
 
 func parseProtocol(s string) (tricomm.Protocol, error) {

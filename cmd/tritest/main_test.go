@@ -6,6 +6,7 @@ import (
 	"tricomm"
 )
 
+// TestParseScheme pins the -partition flag vocabulary.
 func TestParseScheme(t *testing.T) {
 	cases := map[string]tricomm.SplitScheme{
 		"disjoint":  tricomm.SplitDisjoint,
@@ -14,12 +15,12 @@ func TestParseScheme(t *testing.T) {
 		"all":       tricomm.SplitAll,
 	}
 	for in, want := range cases {
-		got, err := parseScheme(in)
+		got, err := tricomm.ParseSplitScheme(in)
 		if err != nil || got != want {
-			t.Errorf("parseScheme(%q) = %v, %v", in, got, err)
+			t.Errorf("ParseSplitScheme(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseScheme("bogus"); err == nil {
+	if _, err := tricomm.ParseSplitScheme("bogus"); err == nil {
 		t.Error("bogus scheme accepted")
 	}
 }

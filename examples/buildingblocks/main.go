@@ -37,8 +37,11 @@ func run() error {
 	fmt.Printf("graph: n=%d m=%d; %d players hold %d edge copies (duplication %.1fx)\n\n",
 		g.N(), g.M(), k, part.TotalHeld(), float64(part.TotalHeld())/float64(g.M()))
 
-	cfg := comm.Config{N: g.N(), Inputs: part.Inputs, Shared: shared}
-	stats, err := comm.Run(context.Background(), cfg, func(ctx context.Context, c *comm.Coordinator) error {
+	top, err := comm.NewTopology(g.N(), part.Inputs, shared)
+	if err != nil {
+		return err
+	}
+	stats, err := comm.RunOn(context.Background(), top, func(ctx context.Context, c *comm.Coordinator) error {
 		step := costReporter(c)
 
 		// 1. Edge query (dense-model primitive).

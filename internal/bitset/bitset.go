@@ -5,11 +5,12 @@
 // overhead, and intersections run at one popcount per 64 keys instead of
 // one comparison per element.
 //
-// For mutable scratch the package provides Set, the bitset analogue of
-// internal/marks: clearing is O(1) via per-word epoch stamps (a word
-// whose stamp is stale reads as zero), and Get/Put recycle Sets through
-// a pool so every worker goroutine gets warm backing arrays — the
-// scratch-arena contract documented in DESIGN.md ("memory layout").
+// For mutable scratch the package provides Set, the repository's one
+// pooled membership set over small integer keys: clearing is O(1) via
+// per-word epoch stamps (a word whose stamp is stale reads as zero), and
+// Get/Put recycle Sets through a pool so every worker goroutine gets warm
+// backing arrays — the scratch-arena contract documented in DESIGN.md
+// ("memory layout").
 package bitset
 
 import (

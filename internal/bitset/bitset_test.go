@@ -179,7 +179,6 @@ func TestFirstIntersect(t *testing.T) {
 
 func TestSetBasics(t *testing.T) {
 	s := Get(300)
-	defer Put(s)
 	ref := map[int]bool{}
 	rng := rand.New(rand.NewSource(7))
 	for op := 0; op < 2000; op++ {
@@ -215,6 +214,18 @@ func TestSetBasics(t *testing.T) {
 	for k := range ref {
 		if s.Has(k) {
 			t.Fatalf("Has(%d) true after Reset", k)
+		}
+	}
+	// A pooled set carries no members from one Get to the next.
+	for k := range ref {
+		s.Add(k)
+	}
+	Put(s)
+	s = Get(300)
+	defer Put(s)
+	for k := range ref {
+		if s.Has(k) {
+			t.Fatalf("Has(%d) true after Put and Get", k)
 		}
 	}
 }

@@ -22,15 +22,20 @@ func runCoord(t *testing.T, g *graph.Graph, pt partition.Partitioner, k int, see
 	t.Helper()
 	shared := xrand.New(seed)
 	p := pt.Split(g, k, shared)
-	stats, err := comm.Run(context.Background(), comm.Config{
-		N:      g.N(),
-		Inputs: p.Inputs,
-		Shared: shared,
-	}, coord, comm.ServeLoop(Handle))
+	stats, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared), coord, comm.ServeLoop(Handle))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return stats
+}
+
+func newTop(t testing.TB, n int, inputs [][]wire.Edge, shared *xrand.Shared) *comm.Topology {
+	t.Helper()
+	top, err := comm.NewTopology(n, inputs, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
 }
 
 func TestEdgeQuery(t *testing.T) {
@@ -303,7 +308,7 @@ func TestCollectInducedShared(t *testing.T) {
 	p := partition.Duplicate{Q: 0.3}.Split(g, 4, shared)
 	const prob = 0.4
 	var got []wire.Edge
-	_, err := comm.Run(context.Background(), comm.Config{N: g.N(), Inputs: p.Inputs, Shared: shared},
+	_, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared),
 		func(ctx context.Context, c *comm.Coordinator) error {
 			es, err := CollectInducedShared(ctx, c, "ind", prob, 0)
 			if err != nil {
@@ -338,7 +343,7 @@ func TestCollectInducedCap(t *testing.T) {
 	g := graph.Complete(20)
 	shared := xrand.New(17)
 	p := partition.All{}.Split(g, 3, shared)
-	_, err := comm.Run(context.Background(), comm.Config{N: g.N(), Inputs: p.Inputs, Shared: shared},
+	_, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared),
 		func(ctx context.Context, c *comm.Coordinator) error {
 			es, err := CollectInducedShared(ctx, c, "cap", 1.0, 5)
 			if err != nil {
@@ -362,7 +367,7 @@ func TestCollectCrossShared(t *testing.T) {
 	p := partition.Disjoint{}.Split(g, 4, shared)
 	const pR, pS = 0.3, 0.5
 	var got []wire.Edge
-	_, err := comm.Run(context.Background(), comm.Config{N: g.N(), Inputs: p.Inputs, Shared: shared},
+	_, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared),
 		func(ctx context.Context, c *comm.Coordinator) error {
 			es, err := CollectCrossShared(ctx, c, "R", "S", pR, pS, 0)
 			if err != nil {
@@ -506,7 +511,7 @@ func TestHandleRejectsGarbage(t *testing.T) {
 	g := graph.Complete(4)
 	shared := xrand.New(22)
 	p := partition.Disjoint{}.Split(g, 2, shared)
-	_, err := comm.Run(context.Background(), comm.Config{N: g.N(), Inputs: p.Inputs, Shared: shared},
+	_, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared),
 		func(ctx context.Context, c *comm.Coordinator) error {
 			var w wire.Writer
 			w.WriteUvarint(9999) // unknown opcode

@@ -322,6 +322,9 @@ func handleCandidateMinRank(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	if nb := bucket.NumBuckets(p.N); bucketIdx > uint64(nb) {
+		return comm.Msg{}, fmt.Errorf("%w: bucket %d above %d", ErrBadRequest, bucketIdx, nb)
+	}
 	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)

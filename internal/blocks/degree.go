@@ -53,6 +53,11 @@ func (p ApproxParams) experiments(rounds int) int {
 	return m
 }
 
+// maxExperiments caps the experiment count m a player accepts in one
+// SampleTest request. experiments stays below 40k for any float τ, so only
+// a hostile request reaches the cap.
+const maxExperiments = 1 << 16
+
 func (p ApproxParams) validate() error {
 	if p.Alpha <= 1 {
 		return fmt.Errorf("blocks: Alpha must exceed 1, got %v", p.Alpha)
@@ -179,7 +184,7 @@ func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int
 }
 
 func handleCountMSB(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	mode, v, err := readModeVertex(r)
+	mode, v, err := readModeVertex(r, p.N)
 	if err != nil {
 		return comm.Msg{}, err
 	}
@@ -190,7 +195,7 @@ func handleCountMSB(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 }
 
 func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	mode, v, err := readModeVertex(r)
+	mode, v, err := readModeVertex(r, p.N)
 	if err != nil {
 		return comm.Msg{}, err
 	}
@@ -201,6 +206,9 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	m, err := r.ReadUvarint()
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if m > maxExperiments {
+		return comm.Msg{}, fmt.Errorf("%w: %d experiments exceed %d", ErrBadRequest, m, maxExperiments)
 	}
 	guessBits, err := r.ReadUint(64)
 	if err != nil {
@@ -243,7 +251,9 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	return comm.FromWriter(&w), nil
 }
 
-func readModeVertex(r *wire.Reader) (countMode, int, error) {
+// readModeVertex decodes a count request's universe and vertex; degree
+// mode requires the vertex to lie in [0, n).
+func readModeVertex(r *wire.Reader, n int) (countMode, int, error) {
 	modeU, err := r.ReadUvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -251,6 +261,9 @@ func readModeVertex(r *wire.Reader) (countMode, int, error) {
 	v, err := r.ReadUvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if countMode(modeU) == modeDegree && v >= uint64(n) {
+		return 0, 0, fmt.Errorf("%w: vertex %d not in [0,%d)", ErrBadRequest, v, n)
 	}
 	return countMode(modeU), int(v), nil
 }
@@ -261,8 +274,8 @@ func readModeVertex(r *wire.Reader) (countMode, int, error) {
 // result under-counts by at most a (1+2^{-topBits}) factor — a
 // deterministic O(k·log log n)-bit protocol.
 func ApproxDegreeNoDup(ctx context.Context, c *comm.Coordinator, v int, topBits int) (float64, error) {
-	if topBits < 1 {
-		return 0, fmt.Errorf("blocks: topBits must be ≥ 1, got %d", topBits)
+	if topBits < 1 || topBits > 64 {
+		return 0, fmt.Errorf("blocks: topBits must be in [1, 64], got %d", topBits)
 	}
 	w := reqWriter(opCountTopBits)
 	w.WriteUvarint(uint64(modeDegree))
@@ -297,13 +310,16 @@ func ApproxDegreeNoDup(ctx context.Context, c *comm.Coordinator, v int, topBits 
 }
 
 func handleCountTopBits(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	mode, v, err := readModeVertex(r)
+	mode, v, err := readModeVertex(r, p.N)
 	if err != nil {
 		return comm.Msg{}, err
 	}
 	topBits, err := r.ReadUvarint()
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if topBits > 64 {
+		return comm.Msg{}, fmt.Errorf("%w: top-bits width %d exceeds 64", ErrBadRequest, topBits)
 	}
 	count := uint(len(localElements(p, mode, v)))
 	nbits := bits.Len(count)

@@ -1,0 +1,112 @@
+package blocks
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"tricomm/internal/comm"
+	"tricomm/internal/graph"
+	"tricomm/internal/wire"
+	"tricomm/internal/xrand"
+)
+
+// handlePlayer is a small fixed player for feeding raw requests straight
+// to Handle, outside any session.
+func handlePlayer() *comm.Player {
+	g := graph.FromEdges(8, []wire.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 5, V: 6}})
+	return &comm.Player{ID: 0, K: 2, N: 8, Edges: g.Edges(), View: g, Shared: xrand.New(3), Workers: 1}
+}
+
+// request encodes one request for handlePlayer: the opcode, then the
+// fields in order.
+func request(op uint64, fields ...func(w *wire.Writer)) *wire.Writer {
+	w := reqWriter(op)
+	for _, f := range fields {
+		f(w)
+	}
+	return w
+}
+
+func uv(v uint64) func(*wire.Writer) { return func(w *wire.Writer) { w.WriteUvarint(v) } }
+
+func vertex(v int) func(*wire.Writer) {
+	return func(w *wire.Writer) { w.WriteUint(uint64(v), wire.BitsFor(8)) }
+}
+
+func float(f float64) func(*wire.Writer) {
+	return func(w *wire.Writer) { w.WriteUint(math.Float64bits(f), 64) }
+}
+
+func tag(s string) func(*wire.Writer) { return func(w *wire.Writer) { w.WriteBytes([]byte(s)) } }
+
+// validRequests holds one well-formed request per opcode.
+func validRequests() []*wire.Writer {
+	return []*wire.Writer{
+		request(opEdgeQuery, vertex(0), vertex(1)),
+		request(opMinRankIncident, vertex(2), tag("t")),
+		request(opMinRankEdge, tag("t")),
+		request(opCountMSB, uv(uint64(modeDegree)), uv(2)),
+		request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(16), float(2), tag("t")),
+		request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(3)),
+		request(opCollectInduced, float(0.5), uv(0), tag("t")),
+		request(opCollectCross, float(0.5), float(0.5), uv(0), uv(1), tag("r"), tag("s")),
+		request(opCollectIncidentSample, vertex(2), float(0.5), uv(0), tag("t")),
+		request(opCloseVees, vertex(2), uv(3), vertex(0), vertex(1), vertex(3)),
+		request(opCandidateMinRank, uv(1), tag("t")),
+		request(opNeighbors, vertex(2)),
+		request(opNeighborBitmap, vertex(2)),
+	}
+}
+
+// hostileRequests holds request fields that would crash or hang a player
+// if Handle passed them on.
+var hostileRequests = []struct {
+	name string
+	w    *wire.Writer
+}{
+	{"count-msb vertex ≥ N", request(opCountMSB, uv(uint64(modeDegree)), uv(8))},
+	{"sample-test vertex ≥ N", request(opSampleTest, uv(uint64(modeDegree)), uv(1<<63), uv(0), uv(16), float(2), tag("t"))},
+	{"count-top-bits vertex ≥ N", request(opCountTopBits, uv(uint64(modeDegree)), uv(9), uv(3))},
+	{"sample-test experiments above cap", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(maxExperiments+1), float(2), tag("t"))},
+	{"top bits ≥ 2^63", request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(1<<63))},
+	{"bucket index 2^40", request(opCandidateMinRank, uv(1<<40), tag("t"))},
+}
+
+func TestHandleRejectsHostileFields(t *testing.T) {
+	p := handlePlayer()
+	for _, w := range validRequests() {
+		if _, err := Handle(p, comm.FromWriter(w)); err != nil {
+			t.Fatalf("valid request rejected: %v", err)
+		}
+	}
+	for _, tc := range hostileRequests {
+		if _, err := Handle(p, comm.FromWriter(tc.w)); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
+	}
+}
+
+// FuzzHandle feeds arbitrary bit strings to the player-side dispatcher:
+// it must never panic, and every error must wrap ErrBadRequest. The
+// second argument trims up to 7 trailing bits, so inputs need not be
+// whole bytes.
+func FuzzHandle(f *testing.F) {
+	seeds := validRequests()
+	for _, tc := range hostileRequests {
+		seeds = append(seeds, tc.w)
+	}
+	for _, w := range seeds {
+		f.Add(w.Bytes(), uint8(8*len(w.Bytes())-w.BitLen()))
+	}
+	p := handlePlayer()
+	f.Fuzz(func(t *testing.T, data []byte, trim uint8) {
+		var w wire.Writer
+		for i := 0; i < 8*len(data)-int(trim%8); i++ {
+			w.WriteBit(uint(data[i/8]>>(7-i%8)) & 1)
+		}
+		if _, err := Handle(p, comm.FromWriter(&w)); err != nil && !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("error does not wrap ErrBadRequest: %v", err)
+		}
+	})
+}

@@ -9,15 +9,14 @@ import (
 )
 
 func BenchmarkAskAllRoundTrip(b *testing.B) {
-	cfg := Config{
-		N:      1024,
-		Inputs: make([][]wire.Edge, 8),
-		Shared: xrand.New(1),
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Run(context.Background(), cfg,
+		top, err := NewTopology(1024, make([][]wire.Edge, 8), xrand.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = RunOn(context.Background(), top,
 			func(ctx context.Context, c *Coordinator) error {
 				for r := 0; r < 10; r++ {
 					if _, err := c.AskAll(ctx, Ack()); err != nil {
@@ -34,15 +33,14 @@ func BenchmarkAskAllRoundTrip(b *testing.B) {
 }
 
 func BenchmarkSimultaneousRound(b *testing.B) {
-	cfg := Config{
-		N:      1024,
-		Inputs: make([][]wire.Edge, 8),
-		Shared: xrand.New(1),
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := RunSimultaneous(context.Background(), cfg,
+		top, err := NewTopology(1024, make([][]wire.Edge, 8), xrand.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = RunSimultaneousOn(context.Background(), top,
 			func(p *SimPlayer) (Msg, error) { return Ack(), nil },
 			func(_ *xrand.Shared, msgs []Msg) error { return nil })
 		if err != nil {

@@ -1,4 +1,4 @@
-package engine
+package comm
 
 import (
 	"errors"
@@ -70,16 +70,6 @@ func (b *Board) ObserveParallel(d time.Duration) { b.meter.ObserveParallel(d) }
 // Stats snapshots the communication cost so far.
 func (b *Board) Stats() Stats { return b.meter.Snapshot() }
 
-// BoardPlayers materializes the players' local views for a blackboard
-// protocol run over a throwaway topology built from cfg.
-func BoardPlayers(cfg Config) ([]*SimPlayer, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return nil, err
-	}
-	return BoardPlayersOn(top), nil
-}
-
 // BoardPlayersOn materializes the players' local views over the topology's
 // cache.
 func BoardPlayersOn(top *Topology) []*SimPlayer { return simPlayers(top) }
@@ -90,21 +80,6 @@ type OneWayResult struct {
 	AliceMsg, BobMsg Msg
 	// Stats is the communication cost (Charlie's output is free).
 	Stats Stats
-}
-
-// RunOneWay executes the 3-player "extended one-way" model of §4.2.2 over
-// a throwaway topology built from cfg.
-func RunOneWay(
-	cfg Config,
-	alice func(p *SimPlayer) (Msg, error),
-	bob func(p *SimPlayer, aliceMsg Msg) (Msg, error),
-	charlie func(p *SimPlayer, aliceMsg, bobMsg Msg) error,
-) (OneWayResult, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return OneWayResult{}, err
-	}
-	return RunOneWayOn(top, alice, bob, charlie)
 }
 
 // RunOneWayOn executes the 3-player "extended one-way" model of §4.2.2:

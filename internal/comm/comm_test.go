@@ -12,14 +12,19 @@ import (
 	"tricomm/internal/xrand"
 )
 
-func testConfig(k int) Config {
-	g := graph.Complete(6)
-	edges := g.Edges()
+// testTopology splits the edges of the complete graph K_n round-robin
+// over k players.
+func testTopology(t testing.TB, n, k int) *Topology {
+	t.Helper()
 	inputs := make([][]wire.Edge, k)
-	for i, e := range edges {
+	for i, e := range graph.Complete(n).Edges() {
 		inputs[i%k] = append(inputs[i%k], e)
 	}
-	return Config{N: 6, Inputs: inputs, Shared: xrand.New(1)}
+	top, err := NewTopology(n, inputs, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
 }
 
 func TestMsgRoundTrip(t *testing.T) {
@@ -57,9 +62,9 @@ func TestEmptyAndAck(t *testing.T) {
 }
 
 func TestRunRequestReply(t *testing.T) {
-	cfg := testConfig(4)
+	top := testTopology(t, 6, 4)
 	var reported []int64
-	stats, err := Run(context.Background(), cfg,
+	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			// Ask every player how many edges it holds.
 			replies, err := c.AskAll(ctx, Ack())
@@ -109,8 +114,8 @@ func TestRunRequestReply(t *testing.T) {
 }
 
 func TestRunPlayerViews(t *testing.T) {
-	cfg := testConfig(3)
-	_, err := Run(context.Background(), cfg,
+	top := testTopology(t, 6, 3)
+	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			_, err := c.AskAll(ctx, Ack())
 			return err
@@ -133,11 +138,11 @@ func TestRunPlayerViews(t *testing.T) {
 
 func TestRunGracefulShutdown(t *testing.T) {
 	// Players blocked in Recv must exit when the coordinator returns.
-	cfg := testConfig(5)
+	top := testTopology(t, 6, 5)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(context.Background(), cfg,
+		_, err := RunOn(context.Background(), top,
 			func(ctx context.Context, c *Coordinator) error {
 				return nil // immediately finish without talking to anyone
 			},
@@ -160,11 +165,11 @@ func TestRunGracefulShutdown(t *testing.T) {
 }
 
 func TestRunPlayerBlockedInSendShutsDown(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(context.Background(), cfg,
+		_, err := RunOn(context.Background(), top,
 			func(ctx context.Context, c *Coordinator) error {
 				return nil
 			},
@@ -196,12 +201,12 @@ func TestRunPlayerBlockedInSendShutsDown(t *testing.T) {
 }
 
 func TestRunContextCancellation(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(ctx, cfg,
+		_, err := RunOn(ctx, top,
 			func(ctx context.Context, c *Coordinator) error {
 				// Wait for a message that never comes; must unblock on cancel.
 				_, err := c.Recv(ctx, 0)
@@ -227,9 +232,9 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestRunPlayerErrorPropagates(t *testing.T) {
-	cfg := testConfig(3)
+	top := testTopology(t, 6, 3)
 	wantErr := errors.New("player exploded")
-	_, err := Run(context.Background(), cfg,
+	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			_, err := c.AskAll(ctx, Ack())
 			return err
@@ -256,9 +261,9 @@ func TestRunPlayerErrorPropagates(t *testing.T) {
 }
 
 func TestRunCoordinatorErrorPropagates(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	wantErr := errors.New("coordinator exploded")
-	_, err := Run(context.Background(), cfg,
+	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error { return wantErr },
 		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
 	if !errors.Is(err, wantErr) {
@@ -267,17 +272,14 @@ func TestRunCoordinatorErrorPropagates(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Config{}, nil, nil); err == nil {
-		t.Fatal("empty config accepted")
+	inputs := make([][]wire.Edge, 2)
+	if _, err := NewTopology(6, nil, xrand.New(1)); err == nil {
+		t.Fatal("empty player set accepted")
 	}
-	cfg := testConfig(2)
-	cfg.Shared = nil
-	if _, err := Run(context.Background(), cfg, nil, nil); err == nil {
+	if _, err := NewTopology(6, inputs, nil); err == nil {
 		t.Fatal("nil shared randomness accepted")
 	}
-	cfg = testConfig(2)
-	cfg.N = -1
-	if _, err := Run(context.Background(), cfg, nil, nil); err == nil {
+	if _, err := NewTopology(-1, inputs, xrand.New(1)); err == nil {
 		t.Fatal("negative N accepted")
 	}
 }
@@ -285,8 +287,8 @@ func TestRunValidation(t *testing.T) {
 func TestMultiRoundProtocol(t *testing.T) {
 	// A 3-round ping protocol: verifies per-round accounting and that
 	// ServeLoop players survive multiple requests.
-	cfg := testConfig(3)
-	stats, err := Run(context.Background(), cfg,
+	top := testTopology(t, 6, 3)
+	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			for round := 0; round < 3; round++ {
 				if _, err := c.AskAll(ctx, Ack()); err != nil {
@@ -308,8 +310,8 @@ func TestMultiRoundProtocol(t *testing.T) {
 }
 
 func TestPerPlayerAccounting(t *testing.T) {
-	cfg := testConfig(2)
-	stats, err := Run(context.Background(), cfg,
+	top := testTopology(t, 6, 2)
+	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			// Talk only to player 0.
 			var w wire.Writer

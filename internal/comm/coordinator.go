@@ -1,4 +1,4 @@
-package engine
+package comm
 
 import (
 	"context"
@@ -108,7 +108,7 @@ type Coordinator struct {
 	seq   bool // sequential fan-out (regression-testing knob)
 }
 
-// linkErr maps a transport failure on player j's link to the engine's
+// linkErr maps a transport failure on player j's link to the
 // coordinator-side error vocabulary.
 func (c *Coordinator) linkErr(ctx context.Context, j int, err error) error {
 	if errors.Is(err, transport.ErrAborted) {
@@ -334,53 +334,31 @@ type RunOption func(*runOpts)
 
 type runOpts struct {
 	seqFanout bool
-	dial      transport.Dialer
 }
 
 // SequentialFanout makes Broadcast/Gather serialize their k unicasts in
-// player order, as the pre-engine runtime did. It exists for regression
-// tests and benchmarks comparing the two schedules; on successful runs,
-// results and Stats are identical either way.
+// player order. It exists for regression tests and benchmarks comparing
+// the two schedules; on successful runs, results and Stats are identical
+// either way.
 func SequentialFanout() RunOption {
 	return func(o *runOpts) { o.seqFanout = true }
 }
 
-// Over runs the session's links over d, overriding the topology's
-// transport. Results and bit accounting are transport-independent; only
-// wire mechanics (and WireBytes timing on error paths) differ.
-func Over(d transport.Dialer) RunOption {
-	return func(o *runOpts) { o.dial = d }
-}
-
-// Run executes one protocol in the coordinator model over a throwaway
-// topology built from cfg. Prefer RunOn with a reused Topology when
-// running several protocols against one cluster.
-func Run(ctx context.Context, cfg Config, coord CoordinatorFunc, player PlayerFunc, opts ...RunOption) (Stats, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Stats{}, err
-	}
-	return RunOn(ctx, top, coord, player, opts...)
-}
-
 // RunOn executes one protocol in the coordinator model over top: it opens
-// one transport link per player (from the topology's dialer, or the Over
-// option), spawns one goroutine per player running player, executes coord
-// in the calling goroutine, then shuts the players down and waits for
-// them. The first non-shutdown error from any party is returned alongside
-// the cost snapshot. Player views come from the topology's cache. On
-// successful runs the wire-byte counters are cross-checked against the bit
-// meter (CheckWire).
+// one transport link per player from the topology's dialer, spawns one
+// goroutine per player running player, executes coord in the calling
+// goroutine, then shuts the players down and waits for them. The first
+// non-shutdown error from any party is returned alongside the cost
+// snapshot. Player views come from the topology's cache. On successful
+// runs the wire-byte counters are cross-checked against the bit meter
+// (CheckWire).
 func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player PlayerFunc, opts ...RunOption) (Stats, error) {
 	start := time.Now()
 	var o runOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	dial := o.dial
-	if dial == nil {
-		dial = top.Transport()
-	}
+	dial := top.Transport()
 	k := top.K()
 	meter := NewMeter(k)
 	workers := parwork.Workers(top.intra)

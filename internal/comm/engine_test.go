@@ -1,4 +1,4 @@
-package engine
+package comm
 
 import (
 	"context"
@@ -14,23 +14,8 @@ import (
 	"tricomm/internal/xrand"
 )
 
-func testTopology(t *testing.T, k int) *Topology {
-	t.Helper()
-	g := graph.Complete(8)
-	edges := g.Edges()
-	inputs := make([][]wire.Edge, k)
-	for i, e := range edges {
-		inputs[i%k] = append(inputs[i%k], e)
-	}
-	top, err := NewTopology(8, inputs, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return top
-}
-
 func TestTopologyViewCacheReuse(t *testing.T) {
-	top := testTopology(t, 4)
+	top := testTopology(t, 8, 4)
 	// Views are deterministic, built lazily, and cached: the same pointer
 	// must come back on every access and from every run.
 	v0 := top.View(0)
@@ -67,7 +52,7 @@ func TestTopologyViewCacheReuse(t *testing.T) {
 func TestTopologyViewConcurrentAccess(t *testing.T) {
 	// Many goroutines racing to materialize the same views must all see
 	// one build (run under -race in CI).
-	top := testTopology(t, 4)
+	top := testTopology(t, 8, 4)
 	var wg sync.WaitGroup
 	views := make([]*graph.Graph, 32)
 	for i := range views {
@@ -124,7 +109,7 @@ func TestConcurrentFanoutMatchesSequentialStats(t *testing.T) {
 	// The regression the engine promises: concurrent fan-out changes the
 	// schedule, never the accounting. Both schedules over the same
 	// topology must produce identical Stats.
-	top := testTopology(t, 8)
+	top := testTopology(t, 8, 8)
 	coord, player := chatter(25)
 	conc, err := RunOn(context.Background(), top, coord, player)
 	if err != nil {
@@ -145,7 +130,7 @@ func TestConcurrentFanoutMatchesSequentialStats(t *testing.T) {
 func TestParallelBroadcastGatherRace(t *testing.T) {
 	// Heavy fan-out with k=16 players and busy replies; meaningful mostly
 	// under -race, which CI runs.
-	top := testTopology(t, 16)
+	top := testTopology(t, 8, 16)
 	coord, player := chatter(50)
 	if _, err := RunOn(context.Background(), top, coord, player); err != nil {
 		t.Fatal(err)
@@ -156,7 +141,7 @@ func TestCancellationMidRound(t *testing.T) {
 	// Cancel while a round is in flight: one player never replies, so the
 	// coordinator is parked in Gather when the context dies. Everything
 	// must unwind, with ErrCanceled surfaced.
-	top := testTopology(t, 4)
+	top := testTopology(t, 8, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	done := make(chan struct{})
@@ -203,7 +188,7 @@ func TestGatherUnblocksOnPlayerError(t *testing.T) {
 	// One player dies mid-round without replying while another is parked
 	// waiting for a request that never comes: the concurrent fan-in must
 	// surface the error instead of waiting for the silent player forever.
-	top := testTopology(t, 3)
+	top := testTopology(t, 8, 3)
 	boom := errors.New("boom")
 	done := make(chan struct{})
 	var runErr error
@@ -248,7 +233,7 @@ func TestGatherUnblocksOnPlayerError(t *testing.T) {
 }
 
 func TestMeterPhaseAttribution(t *testing.T) {
-	top := testTopology(t, 3)
+	top := testTopology(t, 8, 3)
 	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			c.BeginPhase("ping")
@@ -312,7 +297,7 @@ func TestBoardCoordinatorPostsDedicatedCounter(t *testing.T) {
 }
 
 func TestSimultaneousOnReusesViews(t *testing.T) {
-	top := testTopology(t, 4)
+	top := testTopology(t, 8, 4)
 	seen := make([]*graph.Graph, 4)
 	_, err := RunSimultaneousOn(context.Background(), top,
 		func(p *SimPlayer) (Msg, error) {

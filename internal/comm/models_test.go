@@ -11,9 +11,9 @@ import (
 )
 
 func TestRunSimultaneous(t *testing.T) {
-	cfg := testConfig(4)
+	top := testTopology(t, 6, 4)
 	var seen []uint64
-	stats, err := RunSimultaneous(context.Background(), cfg,
+	stats, err := RunSimultaneousOn(context.Background(), top,
 		func(p *SimPlayer) (Msg, error) {
 			var w wire.Writer
 			w.WriteUvarint(uint64(len(p.Edges)))
@@ -51,8 +51,8 @@ func TestRunSimultaneous(t *testing.T) {
 }
 
 func TestRunSimultaneousMessageOrder(t *testing.T) {
-	cfg := testConfig(6)
-	_, err := RunSimultaneous(context.Background(), cfg,
+	top := testTopology(t, 6, 6)
+	_, err := RunSimultaneousOn(context.Background(), top,
 		func(p *SimPlayer) (Msg, error) {
 			var w wire.Writer
 			w.WriteUvarint(uint64(p.ID))
@@ -76,9 +76,9 @@ func TestRunSimultaneousMessageOrder(t *testing.T) {
 }
 
 func TestRunSimultaneousPlayerError(t *testing.T) {
-	cfg := testConfig(3)
+	top := testTopology(t, 6, 3)
 	wantErr := errors.New("boom")
-	_, err := RunSimultaneous(context.Background(), cfg,
+	_, err := RunSimultaneousOn(context.Background(), top,
 		func(p *SimPlayer) (Msg, error) {
 			if p.ID == 2 {
 				return Msg{}, wantErr
@@ -92,9 +92,9 @@ func TestRunSimultaneousPlayerError(t *testing.T) {
 }
 
 func TestRunSimultaneousRefereeError(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	wantErr := errors.New("referee boom")
-	_, err := RunSimultaneous(context.Background(), cfg,
+	_, err := RunSimultaneousOn(context.Background(), top,
 		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
 		func(_ *xrand.Shared, msgs []Msg) error { return wantErr })
 	if !errors.Is(err, wantErr) {
@@ -103,10 +103,10 @@ func TestRunSimultaneousRefereeError(t *testing.T) {
 }
 
 func TestRunSimultaneousCanceled(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSimultaneous(ctx, cfg,
+	_, err := RunSimultaneousOn(ctx, top,
 		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
 		func(_ *xrand.Shared, msgs []Msg) error { return nil })
 	if !errors.Is(err, ErrCanceled) {
@@ -151,11 +151,8 @@ func TestBoardInvalidPoster(t *testing.T) {
 }
 
 func TestBoardPlayers(t *testing.T) {
-	cfg := testConfig(3)
-	players, err := BoardPlayers(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := testTopology(t, 6, 3)
+	players := BoardPlayersOn(top)
 	if len(players) != 3 {
 		t.Fatalf("players = %d", len(players))
 	}
@@ -170,8 +167,8 @@ func TestBoardPlayers(t *testing.T) {
 }
 
 func TestRunOneWay(t *testing.T) {
-	cfg := testConfig(3)
-	res, err := RunOneWay(cfg,
+	top := testTopology(t, 6, 3)
+	res, err := RunOneWayOn(top,
 		func(p *SimPlayer) (Msg, error) {
 			var w wire.Writer
 			w.WriteUvarint(uint64(len(p.Edges)))
@@ -208,8 +205,8 @@ func TestRunOneWay(t *testing.T) {
 }
 
 func TestRunOneWayRequiresThreePlayers(t *testing.T) {
-	cfg := testConfig(2)
-	_, err := RunOneWay(cfg,
+	top := testTopology(t, 6, 2)
+	_, err := RunOneWayOn(top,
 		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
 		func(p *SimPlayer, _ Msg) (Msg, error) { return Ack(), nil },
 		func(p *SimPlayer, _, _ Msg) error { return nil })
@@ -219,22 +216,22 @@ func TestRunOneWayRequiresThreePlayers(t *testing.T) {
 }
 
 func TestRunOneWayErrors(t *testing.T) {
-	cfg := testConfig(3)
+	top := testTopology(t, 6, 3)
 	boom := errors.New("boom")
-	_, err := RunOneWay(cfg,
+	_, err := RunOneWayOn(top,
 		func(p *SimPlayer) (Msg, error) { return Msg{}, boom },
 		nil, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("alice error lost: %v", err)
 	}
-	_, err = RunOneWay(cfg,
+	_, err = RunOneWayOn(top,
 		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
 		func(p *SimPlayer, _ Msg) (Msg, error) { return Msg{}, boom },
 		nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("bob error lost: %v", err)
 	}
-	_, err = RunOneWay(cfg,
+	_, err = RunOneWayOn(top,
 		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
 		func(p *SimPlayer, _ Msg) (Msg, error) { return Ack(), nil },
 		func(p *SimPlayer, _, _ Msg) error { return boom })

@@ -1,48 +1,45 @@
-// Package comm implements the communication models of the paper as an
-// in-process message-passing runtime with bit-exact cost accounting.
-//
-// Four models are provided:
-//
-//   - Run/RunOn: the coordinator model (§2). k player goroutines hold
-//     private inputs and exchange messages with a coordinator over private
-//     buffered channels; the coordinator drives rounds and outputs the
-//     answer. Cost is the total number of message bits in both directions.
-//
-//   - RunSimultaneous/RunSimultaneousOn: the simultaneous model. Each
-//     player computes a single message from its input and the shared
-//     randomness; a referee sees only the k messages.
-//
-//   - Board: the blackboard model. Posts are public and their bits are
-//     counted once regardless of audience size.
-//
-//   - RunOneWay/RunOneWayOn: the 3-player "extended one-way" model of
-//     §4.2.2 (Alice and Bob speak, Charlie observes the transcript and
-//     answers).
-//
-// All four are facades over the unified runtime in the nested engine
-// package, which supplies the shared Topology (per-player views built once
-// and cached across runs), the concurrent coordinator fan-out, and the
-// atomic per-player metering. Protocols that run repeatedly against one
-// cluster should build a Topology once (Config.Topology or NewTopology)
-// and use the *On entry points.
-//
-// Every message is a bit string produced by package wire, so the metered
-// cost is exactly the information-theoretic message length the paper's
-// bounds speak about.
 package comm
 
 import (
-	"tricomm/internal/comm/engine"
+	"tricomm/internal/transport"
 	"tricomm/internal/wire"
 )
 
 // Msg is an immutable bit-string message. The zero value is the empty
 // message.
-type Msg = engine.Msg
+type Msg struct {
+	bits int
+	data []byte
+}
 
 // FromWriter seals the bits written to w into a message. The writer's
 // buffer is copied, so w may be reused afterwards.
-func FromWriter(w *wire.Writer) Msg { return engine.FromWriter(w) }
+func FromWriter(w *wire.Writer) Msg {
+	data := make([]byte, len(w.Bytes()))
+	copy(data, w.Bytes())
+	return Msg{bits: w.BitLen(), data: data}
+}
+
+// Bits reports the message length in bits.
+func (m Msg) Bits() int { return m.bits }
+
+// IsEmpty reports whether the message carries no bits.
+func (m Msg) IsEmpty() bool { return m.bits == 0 }
+
+// Reader returns a fresh reader over the message bits.
+func (m Msg) Reader() *wire.Reader { return wire.NewReader(m.data, m.bits) }
 
 // Ack is a conventional 1-bit acknowledgement message.
-func Ack() Msg { return engine.Ack() }
+func Ack() Msg {
+	var w wire.Writer
+	w.WriteBit(1)
+	return FromWriter(&w)
+}
+
+// frameOf views the message as a transport frame. No copy: both forms are
+// immutable, so the frame may alias the message bytes.
+func frameOf(m Msg) transport.Frame { return transport.Frame{Bits: m.bits, Data: m.data} }
+
+// msgOf views a received transport frame as a message, again without
+// copying; transports never reuse a delivered frame's buffer.
+func msgOf(f transport.Frame) Msg { return Msg{bits: f.Bits, data: f.Data} }

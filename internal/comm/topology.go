@@ -1,6 +1,8 @@
-package engine
+package comm
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"tricomm/internal/graph"
@@ -32,12 +34,18 @@ type Topology struct {
 	intra  int              // requested intra-phase workers; ≤0 defers to env
 }
 
-// NewTopology validates the instance and returns a topology with an empty
-// view cache.
+// NewTopology validates the instance — n ≥ 0, at least one player, and
+// non-nil shared randomness — and returns a topology with an empty view
+// cache. inputs[j] is player j's private edge set; len(inputs) is k.
 func NewTopology(n int, inputs [][]wire.Edge, shared *xrand.Shared) (*Topology, error) {
-	cfg := Config{N: n, Inputs: inputs, Shared: shared}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if n < 0 {
+		return nil, fmt.Errorf("comm: negative vertex count %d", n)
+	}
+	if len(inputs) == 0 {
+		return nil, errors.New("comm: no players")
+	}
+	if shared == nil {
+		return nil, errors.New("comm: nil shared randomness")
 	}
 	k := len(inputs)
 	return &Topology{
@@ -116,8 +124,3 @@ func (t *Topology) WithIntraWorkers(n int) *Topology {
 // IntraWorkers reports the raw intra-phase worker request (≤0 means
 // "resolve from the environment at session start").
 func (t *Topology) IntraWorkers() int { return t.intra }
-
-// Config returns the throwaway-config form of the topology.
-func (t *Topology) Config() Config {
-	return Config{N: t.n, Inputs: t.inputs, Shared: t.shared}
-}

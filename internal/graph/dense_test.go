@@ -281,25 +281,3 @@ func TestPackTrianglesAllocs(t *testing.T) {
 		t.Fatalf("PackTriangleCount %d != len(PackTriangles) %d", n, len(g.PackTriangles()))
 	}
 }
-
-// TestIntraWorkers pins the resolver precedence: explicit > env > 1.
-func TestIntraWorkers(t *testing.T) {
-	t.Setenv(IntraWorkersEnv, "")
-	if got := IntraWorkers(3); got != 3 {
-		t.Fatalf("explicit: %d", got)
-	}
-	if got := IntraWorkers(0); got != 1 {
-		t.Fatalf("default: %d", got)
-	}
-	t.Setenv(IntraWorkersEnv, "5")
-	if got := IntraWorkers(0); got != 5 {
-		t.Fatalf("env: %d", got)
-	}
-	if got := IntraWorkers(2); got != 2 {
-		t.Fatalf("explicit beats env: %d", got)
-	}
-	t.Setenv(IntraWorkersEnv, "bogus")
-	if got := IntraWorkers(0); got != 1 {
-		t.Fatalf("bad env: %d", got)
-	}
-}

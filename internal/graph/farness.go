@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"tricomm/internal/bitset"
-	"tricomm/internal/marks"
 )
 
 // This file implements ε-farness machinery. A graph is ε-far from
@@ -73,7 +72,7 @@ var triBufPool = sync.Pool{New: func() any { return new(triBuf) }}
 // equivalence is pinned by TestShadowPathEquivalence against
 // Triangles()-order replay).
 func (g *Graph) packInto(out []Triangle) []Triangle {
-	used := marks.Get(len(g.nbr))
+	used := bitset.Get(len(g.nbr))
 	for u := 0; u < g.n; u++ {
 		au := g.row(u)
 		base := int(g.off[u])
@@ -149,7 +148,7 @@ func (g *Graph) packInto(out []Triangle) []Triangle {
 			}
 		}
 	}
-	marks.Put(used)
+	bitset.Put(used)
 	return out
 }
 

@@ -15,18 +15,6 @@ import (
 // intra-phase work-splitting layer); this file keeps the graph-specific
 // arc-balanced partition and the kernel reductions.
 
-// IntraWorkersEnv is the environment variable consulted when a caller
-// passes a non-positive intra-trial worker count.
-const IntraWorkersEnv = parwork.EnvVar
-
-// IntraWorkers resolves an intra-trial worker-count request: an explicit
-// n > 0 wins; otherwise TRICOMM_INTRA_WORKERS; otherwise 1. It delegates
-// to parwork.Workers, which warns once (and falls back to 1) on an
-// unparseable or non-positive environment value.
-func IntraWorkers(n int) int {
-	return parwork.Workers(n)
-}
-
 // rowChunks partitions the vertex range [0, n) into at most parts
 // contiguous row ranges balanced by arc count (row cost in every kernel
 // is proportional to its arcs, not its mere presence). Depends only on
@@ -60,7 +48,7 @@ func (g *Graph) rowChunks(parts int) [][2]int {
 // triangle is attributed to its smallest vertex's chunk, partial counts
 // are exact int64s, and the reduction folds them in chunk order.
 func (g *Graph) CountTrianglesN(workers int) int64 {
-	workers = IntraWorkers(workers)
+	workers = parwork.Workers(workers)
 	if workers <= 1 || g.n == 0 {
 		return g.CountTriangles()
 	}
@@ -80,7 +68,7 @@ func (g *Graph) CountTrianglesN(workers int) int64 {
 // goroutines. Per-source matchings are independent (each touches only its
 // own out[v] slot), so the output is bit-identical at any worker count.
 func (g *Graph) DisjointVeeCountN(workers int) []int {
-	workers = IntraWorkers(workers)
+	workers = parwork.Workers(workers)
 	out := make([]int, g.n)
 	if workers <= 1 || g.n == 0 {
 		for v := 0; v < g.n; v++ {
@@ -105,7 +93,7 @@ func (g *Graph) DisjointVeeCountN(workers int) []int {
 // the final answer is the lowest-index chunk's hit, which is exactly the
 // serial scan's first hit.
 func (g *Graph) FindTriangleN(workers int) (Triangle, bool) {
-	workers = IntraWorkers(workers)
+	workers = parwork.Workers(workers)
 	if workers <= 1 || g.n == 0 {
 		return g.FindTriangle()
 	}

@@ -223,9 +223,12 @@ func e5Symmetrization() Experiment {
 			cells, err := runner.Map(ctx, cfg.jobs(), len(ks)*trials, func(ctx context.Context, i int) (cell, error) {
 				ki, trial := i/trials, i%trials
 				emb := embs[i]
-				cfgC := comm.Config{N: inst.N(), Inputs: emb.Inputs, Shared: xrand.New(cfg.Seed + uint64(trial))}
+				top, err := comm.NewTopology(inst.N(), emb.Inputs, xrand.New(cfg.Seed+uint64(trial)))
+				if err != nil {
+					return cell{}, err
+				}
 				res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(), Delta: 0.1,
-					Tag: fmt.Sprintf("e5/%d/%d", ks[ki], trial)}.Run(ctx, cfgC)
+					Tag: fmt.Sprintf("e5/%d/%d", ks[ki], trial)}.RunOn(ctx, top)
 				if err != nil {
 					return cell{}, err
 				}
@@ -286,10 +289,12 @@ func e6BHM() Experiment {
 				rng := a.Rand(int64(cfg.Seed)*13 + int64(trial))
 				inst := lowerbound.SampleBHM(b.n, b.allZero, rng)
 				red := lowerbound.Reduce(inst)
-				c := comm.Config{N: red.G.N(), Inputs: red.Inputs(),
-					Shared: xrand.New(cfg.Seed + uint64(trial) + uint64(b.n))}
+				top, err := comm.NewTopology(red.G.N(), red.Inputs(), xrand.New(cfg.Seed+uint64(trial)+uint64(b.n)))
+				if err != nil {
+					return cell{}, err
+				}
 				res, err := protocol.SimLow{Eps: 0.2, AvgDegree: red.G.AvgDegree(), Delta: 0.1,
-					Tag: fmt.Sprintf("e6/%d/%v/%d", b.n, b.allZero, trial)}.Run(ctx, c)
+					Tag: fmt.Sprintf("e6/%d/%v/%d", b.n, b.allZero, trial)}.RunOn(ctx, top)
 				if err != nil {
 					return cell{}, err
 				}

@@ -402,8 +402,11 @@ func e9ApproxDegree() Experiment {
 				shared := xrand.New(cfg.Seed + uint64(wantDeg))
 				// Duplication-tolerant estimator on a duplicated partition.
 				pd := partition.Duplicate{Q: 0.5}.Split(g, k, shared)
-				_, err := comm.Run(ctx,
-					comm.Config{N: g.N(), Inputs: pd.Inputs, Shared: shared},
+				top, err := comm.NewTopology(g.N(), pd.Inputs, shared)
+				if err != nil {
+					return row{}, err
+				}
+				_, err = comm.RunOn(ctx, top,
 					func(ctx context.Context, c *comm.Coordinator) error {
 						est, err := blocks.ApproxDegree(ctx, c, v, blocks.DefaultApprox(fmt.Sprintf("e9/%d", v)))
 						if err != nil {
@@ -418,8 +421,10 @@ func e9ApproxDegree() Experiment {
 				}
 				// No-duplication estimator on a disjoint partition.
 				pn := partition.Disjoint{}.Split(g, k, shared)
-				_, err = comm.Run(ctx,
-					comm.Config{N: g.N(), Inputs: pn.Inputs, Shared: shared},
+				if top, err = comm.NewTopology(g.N(), pn.Inputs, shared); err != nil {
+					return row{}, err
+				}
+				_, err = comm.RunOn(ctx, top,
 					func(ctx context.Context, c *comm.Coordinator) error {
 						est, err := blocks.ApproxDegreeNoDup(ctx, c, v, 3)
 						if err != nil {

@@ -18,8 +18,8 @@ import (
 	"sort"
 	"strings"
 
-	"tricomm/internal/graph"
 	"tricomm/internal/harness/runner"
+	"tricomm/internal/parwork"
 )
 
 // Table is a rendered experiment result.
@@ -142,7 +142,7 @@ type RunConfig struct {
 func (c RunConfig) jobs() int { return runner.Jobs(c.Jobs) }
 
 // intraWorkers returns the normalized intra-trial worker count.
-func (c RunConfig) intraWorkers() int { return graph.IntraWorkers(c.IntraWorkers) }
+func (c RunConfig) intraWorkers() int { return parwork.Workers(c.IntraWorkers) }
 
 func (c RunConfig) trials(def int) int {
 	if c.Trials > 0 {

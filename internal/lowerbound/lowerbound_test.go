@@ -343,10 +343,13 @@ func TestBHMSolvedByTester(t *testing.T) {
 		for _, allZero := range []bool{true, false} {
 			inst := SampleBHM(150, allZero, rng)
 			red := Reduce(inst)
-			cfg := comm.Config{N: red.G.N(), Inputs: red.Inputs(), Shared: xrand.New(uint64(seed))}
+			top, err := comm.NewTopology(red.G.N(), red.Inputs(), xrand.New(uint64(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := protocol.SimLow{
 				Eps: 0.2, AvgDegree: red.G.AvgDegree(), Delta: 0.1,
-			}.Run(context.Background(), cfg)
+			}.RunOn(context.Background(), top)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,9 +433,12 @@ func TestSymmetrizationCostRelation(t *testing.T) {
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
 		emb := Embed3ToK(inst.Alice, inst.Bob, inst.Charlie, k, rng)
-		cfg := comm.Config{N: inst.N(), Inputs: emb.Inputs, Shared: xrand.New(uint64(trial))}
+		top, err := comm.NewTopology(inst.N(), emb.Inputs, xrand.New(uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(), Delta: 0.1}.
-			Run(context.Background(), cfg)
+			RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}

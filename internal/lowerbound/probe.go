@@ -50,9 +50,12 @@ func (p OneWayProbe) Run(inst MuInstance, shared *xrand.Shared) (ProbeResult, er
 	if maxList < 1 {
 		maxList = 1
 	}
-	cfg := comm.Config{N: n, Inputs: inst.Inputs(), Shared: shared}
+	top, err := comm.NewTopology(n, inst.Inputs(), shared)
+	if err != nil {
+		return ProbeResult{}, err
+	}
 	res := ProbeResult{}
-	owr, err := comm.RunOneWay(cfg,
+	owr, err := comm.RunOneWayOn(top,
 		func(alice *comm.SimPlayer) (comm.Msg, error) {
 			// Max-degree vertex of U in Alice's input.
 			best, bestDeg := 0, -1
@@ -182,9 +185,12 @@ func (p SimProbe) Run(inst MuInstance, shared *xrand.Shared) (ProbeResult, error
 		key := shared.Key(fmt.Sprintf("probe/window/%d", inst.Part(v)))
 		return key.Bernoulli(uint64(v), frac)
 	}
-	cfg := comm.Config{N: n, Inputs: inst.Inputs(), Shared: shared}
+	top, err := comm.NewTopology(n, inst.Inputs(), shared)
+	if err != nil {
+		return ProbeResult{}, err
+	}
 	res := ProbeResult{}
-	stats, err := comm.RunSimultaneous(context.Background(), cfg,
+	stats, err := comm.RunSimultaneousOn(context.Background(), top,
 		func(pl *comm.SimPlayer) (comm.Msg, error) {
 			var out []wire.Edge
 			for _, e := range pl.Edges {

@@ -7,10 +7,10 @@ import (
 	"math/bits"
 	"time"
 
+	"tricomm/internal/bitset"
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
-	"tricomm/internal/marks"
 	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 )
@@ -42,16 +42,6 @@ type UnrestrictedBlackboard struct {
 
 // Name identifies the protocol in logs.
 func (u UnrestrictedBlackboard) Name() string { return "unrestricted-blackboard" }
-
-// Run executes the tester synchronously against a Board over a throwaway
-// topology built from cfg.
-func (u UnrestrictedBlackboard) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return u.RunOn(ctx, top)
-}
 
 // RunOn executes the tester synchronously against a Board, reusing top's
 // cached player views.
@@ -119,10 +109,10 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 	// Reusable scratch for the bucket loop: the seen-candidate and
 	// posted-arm sets are pooled epoch-marked slices reset per use, not
 	// per-iteration map allocations.
-	seen := marks.Get(n)
-	defer marks.Put(seen)
-	posted := marks.Get(n)
-	defer marks.Put(posted)
+	seen := bitset.Get(n)
+	defer bitset.Put(seen)
+	posted := bitset.Get(n)
+	defer bitset.Put(posted)
 
 	board.BeginPhase("buckets")
 	for i := lo; i <= hi; i++ {

@@ -31,16 +31,6 @@ type NaiveUniform struct {
 // Name identifies the protocol in logs.
 func (p NaiveUniform) Name() string { return "naive-uniform" }
 
-// Run executes the ablated tester in the coordinator model over a
-// throwaway topology built from cfg.
-func (p NaiveUniform) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return p.RunOn(ctx, top)
-}
-
 // RunOn executes the ablated tester in the coordinator model, reusing
 // top's cached player views.
 func (p NaiveUniform) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {

@@ -15,8 +15,8 @@ func TestNaiveUniformSoundness(t *testing.T) {
 	// inputs.
 	g := triangleFreeGraph(30)
 	for seed := uint64(0); seed < 4; seed++ {
-		cfg := cfgFor(g, partition.Duplicate{Q: 0.4}, 4, seed)
-		res, err := NaiveUniform{Eps: 0.2, Tag: fmt.Sprintf("s%d", seed)}.Run(context.Background(), cfg)
+		top := topFor(t, g, partition.Duplicate{Q: 0.4}, 4, seed)
+		res, err := NaiveUniform{Eps: 0.2, Tag: fmt.Sprintf("s%d", seed)}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,16 +47,16 @@ func TestNaiveUniformFailsOnHiddenBlock(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		g, _ := graph.HiddenBlock(graph.HiddenBlockParams{N: 12000, A: 6, NoiseDeg: 4}, rng)
 		eps := g.FarnessLowerBound()
-		cfg := cfgFor(g, partition.Disjoint{}, 4, uint64(trial)+800)
+		top := topFor(t, g, partition.Disjoint{}, 4, uint64(trial)+800)
 		rb, err := Unrestricted{Eps: eps, AvgDegree: g.AvgDegree(),
-			Tag: fmt.Sprintf("hb%d", trial)}.Run(context.Background(), cfg)
+			Tag: fmt.Sprintf("hb%d", trial)}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rb.Found() {
 			bucketedWins++
 		}
-		rn, err := NaiveUniform{Eps: eps, Tag: fmt.Sprintf("hn%d", trial)}.Run(context.Background(), cfg)
+		rn, err := NaiveUniform{Eps: eps, Tag: fmt.Sprintf("hn%d", trial)}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +72,8 @@ func TestNaiveUniformFailsOnHiddenBlock(t *testing.T) {
 
 func TestNaiveUniformValidation(t *testing.T) {
 	g := graph.Complete(5)
-	cfg := cfgFor(g, partition.Disjoint{}, 2, 1)
-	if _, err := (NaiveUniform{Eps: 0}).Run(context.Background(), cfg); err == nil {
+	top := topFor(t, g, partition.Disjoint{}, 2, 1)
+	if _, err := (NaiveUniform{Eps: 0}).RunOn(context.Background(), top); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
 }

@@ -74,16 +74,6 @@ func (s SimOblivious) instanceCapLow(n int) int {
 	return int(math.Ceil(t.CapSlack * math.Sqrt(float64(n)) * math.Log(float64(n)+2)))
 }
 
-// Run executes the tester in the simultaneous model over a throwaway
-// topology built from cfg.
-func (s SimOblivious) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunOn(ctx, top)
-}
-
 // RunOn executes the tester in the simultaneous model, reusing top's
 // cached player views.
 func (s SimOblivious) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {
@@ -194,16 +184,6 @@ type ExactBaseline struct{}
 
 // Name identifies the protocol in logs.
 func (ExactBaseline) Name() string { return "exact-baseline" }
-
-// Run executes the baseline in the simultaneous model (it needs only one
-// round) over a throwaway topology built from cfg.
-func (e ExactBaseline) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return e.RunOn(ctx, top)
-}
 
 // RunOn executes the baseline in the simultaneous model, reusing top's
 // cached player views.

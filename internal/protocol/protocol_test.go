@@ -15,7 +15,7 @@ import (
 // Tester is the common interface all protocols in this package satisfy.
 type Tester interface {
 	Name() string
-	Run(ctx context.Context, cfg comm.Config) (Result, error)
+	RunOn(ctx context.Context, top *comm.Topology) (Result, error)
 }
 
 var (
@@ -27,10 +27,14 @@ var (
 	_ Tester = ExactBaseline{}
 )
 
-func cfgFor(g *graph.Graph, pt partition.Partitioner, k int, seed uint64) comm.Config {
+func topFor(t testing.TB, g *graph.Graph, pt partition.Partitioner, k int, seed uint64) *comm.Topology {
+	t.Helper()
 	shared := xrand.New(seed)
-	p := pt.Split(g, k, shared)
-	return comm.Config{N: g.N(), Inputs: p.Inputs, Shared: shared}
+	top, err := comm.NewTopology(g.N(), pt.Split(g, k, shared).Inputs, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
 }
 
 // farLowDegree is an ε-far instance in the d = O(√n) regime.
@@ -73,8 +77,8 @@ func TestOneSidedErrorOnTriangleFree(t *testing.T) {
 		d := g.AvgDegree()
 		for _, tester := range testersFor(0.2, d) {
 			for _, pt := range []partition.Partitioner{partition.Disjoint{}, partition.Duplicate{Q: 0.4}} {
-				cfg := cfgFor(g, pt, 4, uint64(seed)+100)
-				res, err := tester.Run(context.Background(), cfg)
+				top := topFor(t, g, pt, 4, uint64(seed)+100)
+				res, err := tester.RunOn(context.Background(), top)
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", tester.Name(), pt.Name(), seed, err)
 				}
@@ -92,8 +96,8 @@ func TestReportedTrianglesAreReal(t *testing.T) {
 	d := g.AvgDegree()
 	for _, tester := range testersFor(eps, d) {
 		for seed := uint64(0); seed < 4; seed++ {
-			cfg := cfgFor(g, partition.Duplicate{Q: 0.3}, 5, seed)
-			res, err := tester.Run(context.Background(), cfg)
+			top := topFor(t, g, partition.Duplicate{Q: 0.3}, 5, seed)
+			res, err := tester.RunOn(context.Background(), top)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", tester.Name(), seed, err)
 			}
@@ -109,8 +113,8 @@ func completeness(t *testing.T, mk func(seed uint64) Tester, g *graph.Graph, pt 
 	t.Helper()
 	found := 0
 	for seed := uint64(0); seed < uint64(trials); seed++ {
-		cfg := cfgFor(g, pt, k, seed*7+13)
-		res, err := mk(seed).Run(context.Background(), cfg)
+		top := topFor(t, g, pt, k, seed*7+13)
+		res, err := mk(seed).RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatalf("trial %d: %v", seed, err)
 		}
@@ -172,12 +176,12 @@ func TestBlackboardCheaperThanCoordinator(t *testing.T) {
 	const k = 8
 	var coordBits, boardBits int64
 	for seed := uint64(0); seed < 5; seed++ {
-		cfg := cfgFor(g, partition.Duplicate{Q: 0.8}, k, seed+40)
-		rc, err := Unrestricted{Eps: eps, AvgDegree: g.AvgDegree(), Tag: fmt.Sprintf("c%d", seed)}.Run(context.Background(), cfg)
+		top := topFor(t, g, partition.Duplicate{Q: 0.8}, k, seed+40)
+		rc, err := Unrestricted{Eps: eps, AvgDegree: g.AvgDegree(), Tag: fmt.Sprintf("c%d", seed)}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := UnrestrictedBlackboard{Eps: eps, AvgDegree: g.AvgDegree(), Tag: fmt.Sprintf("b%d", seed)}.Run(context.Background(), cfg)
+		rb, err := UnrestrictedBlackboard{Eps: eps, AvgDegree: g.AvgDegree(), Tag: fmt.Sprintf("b%d", seed)}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,8 +234,8 @@ func TestExactBaselineAlwaysCorrect(t *testing.T) {
 	// Exact detection: finds a triangle iff one exists, on every seed.
 	g, _ := farLowDegree(11)
 	for seed := uint64(0); seed < 3; seed++ {
-		cfg := cfgFor(g, partition.Duplicate{Q: 0.5}, 4, seed)
-		res, err := ExactBaseline{}.Run(context.Background(), cfg)
+		top := topFor(t, g, partition.Duplicate{Q: 0.5}, 4, seed)
+		res, err := ExactBaseline{}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,8 +244,8 @@ func TestExactBaselineAlwaysCorrect(t *testing.T) {
 		}
 	}
 	free := triangleFreeGraph(12)
-	cfg := cfgFor(free, partition.Disjoint{}, 4, 1)
-	res, err := ExactBaseline{}.Run(context.Background(), cfg)
+	top := topFor(t, free, partition.Disjoint{}, 4, 1)
+	res, err := ExactBaseline{}.RunOn(context.Background(), top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +257,8 @@ func TestExactBaselineAlwaysCorrect(t *testing.T) {
 func TestTestingCheaperThanExact(t *testing.T) {
 	// §5 headline: the testers beat the Θ(k·nd·log n) exact exchange.
 	g, eps := farLowDegree(13)
-	cfg := cfgFor(g, partition.Disjoint{}, 6, 3)
-	exact, err := ExactBaseline{}.Run(context.Background(), cfg)
+	top := topFor(t, g, partition.Disjoint{}, 6, 3)
+	exact, err := ExactBaseline{}.RunOn(context.Background(), top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +266,7 @@ func TestTestingCheaperThanExact(t *testing.T) {
 		SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1},
 		SimOblivious{Eps: eps, Delta: 0.1},
 	} {
-		res, err := tester.Run(context.Background(), cfg)
+		res, err := tester.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatalf("%s: %v", tester.Name(), err)
 		}
@@ -277,8 +281,8 @@ func TestSimCapsBoundMessages(t *testing.T) {
 	g, eps := farHighDegree(14)
 	d := g.AvgDegree()
 	s := SimHigh{Eps: eps, AvgDegree: d, Delta: 0.1}
-	cfg := cfgFor(g, partition.All{}, 3, 9)
-	res, err := s.Run(context.Background(), cfg)
+	top := topFor(t, g, partition.All{}, 3, 9)
+	res, err := s.RunOn(context.Background(), top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +302,8 @@ func TestSimultaneousIsOneRound(t *testing.T) {
 		SimOblivious{Eps: eps, Delta: 0.1},
 		ExactBaseline{},
 	} {
-		cfg := cfgFor(g, partition.Disjoint{}, 4, 2)
-		res, err := tester.Run(context.Background(), cfg)
+		top := topFor(t, g, partition.Disjoint{}, 4, 2)
+		res, err := tester.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,28 +318,28 @@ func TestSimultaneousIsOneRound(t *testing.T) {
 
 func TestParamValidation(t *testing.T) {
 	g := graph.Complete(6)
-	cfg := cfgFor(g, partition.Disjoint{}, 2, 1)
+	top := topFor(t, g, partition.Disjoint{}, 2, 1)
 	ctx := context.Background()
-	if _, err := (Unrestricted{Eps: 0}).Run(ctx, cfg); err == nil {
+	if _, err := (Unrestricted{Eps: 0}).RunOn(ctx, top); err == nil {
 		t.Fatal("eps=0 accepted by unrestricted")
 	}
-	if _, err := (UnrestrictedBlackboard{Eps: 2}).Run(ctx, cfg); err == nil {
+	if _, err := (UnrestrictedBlackboard{Eps: 2}).RunOn(ctx, top); err == nil {
 		t.Fatal("eps=2 accepted by blackboard")
 	}
-	if _, err := (SimHigh{Eps: 0.1}).Run(ctx, cfg); err == nil {
+	if _, err := (SimHigh{Eps: 0.1}).RunOn(ctx, top); err == nil {
 		t.Fatal("sim-high without degree accepted")
 	}
-	if _, err := (SimLow{Eps: 0.1}).Run(ctx, cfg); err == nil {
+	if _, err := (SimLow{Eps: 0.1}).RunOn(ctx, top); err == nil {
 		t.Fatal("sim-low without degree accepted")
 	}
-	if _, err := (SimOblivious{Eps: -1}).Run(ctx, cfg); err == nil {
+	if _, err := (SimOblivious{Eps: -1}).RunOn(ctx, top); err == nil {
 		t.Fatal("negative eps accepted by oblivious")
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(50).Build()
-	cfg := cfgFor(g, partition.Disjoint{}, 3, 1)
+	top := topFor(t, g, partition.Disjoint{}, 3, 1)
 	ctx := context.Background()
 	for _, tester := range []Tester{
 		Unrestricted{Eps: 0.3},
@@ -343,7 +347,7 @@ func TestEmptyGraph(t *testing.T) {
 		SimOblivious{Eps: 0.3, Delta: 0.1},
 		ExactBaseline{},
 	} {
-		res, err := tester.Run(ctx, cfg)
+		res, err := tester.RunOn(ctx, top)
 		if err != nil {
 			t.Fatalf("%s on empty graph: %v", tester.Name(), err)
 		}
@@ -364,13 +368,13 @@ func TestVerdictString(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	g, eps := farLowDegree(16)
-	cfg := cfgFor(g, partition.Disjoint{}, 3, 1)
+	top := topFor(t, g, partition.Disjoint{}, 3, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (Unrestricted{Eps: eps}).Run(ctx, cfg); err == nil {
+	if _, err := (Unrestricted{Eps: eps}).RunOn(ctx, top); err == nil {
 		t.Fatal("canceled unrestricted run succeeded")
 	}
-	if _, err := (UnrestrictedBlackboard{Eps: eps}).Run(ctx, cfg); err == nil {
+	if _, err := (UnrestrictedBlackboard{Eps: eps}).RunOn(ctx, top); err == nil {
 		t.Fatal("canceled blackboard run succeeded")
 	}
 }
@@ -385,9 +389,9 @@ func TestUnrestrictedNoDupVariant(t *testing.T) {
 	found := 0
 	const trials = 6
 	for seed := uint64(0); seed < trials; seed++ {
-		cfg := cfgFor(g, partition.Disjoint{}, 4, seed+900)
+		top := topFor(t, g, partition.Disjoint{}, 4, seed+900)
 		rn, err := Unrestricted{Eps: eps, AvgDegree: d, AssumeDisjoint: true,
-			Tag: fmt.Sprintf("nd%d", seed)}.Run(context.Background(), cfg)
+			Tag: fmt.Sprintf("nd%d", seed)}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +403,7 @@ func TestUnrestrictedNoDupVariant(t *testing.T) {
 		}
 		nodupBits += rn.Stats.TotalBits
 		rd, err := Unrestricted{Eps: eps, AvgDegree: d,
-			Tag: fmt.Sprintf("dd%d", seed)}.Run(context.Background(), cfg)
+			Tag: fmt.Sprintf("dd%d", seed)}.RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,16 +127,6 @@ func (s SimHigh) Cap(n int) int {
 	return int(math.Ceil(t.CapSlack / delta * (expected + 1)))
 }
 
-// Run executes the tester in the simultaneous model over a throwaway
-// topology built from cfg.
-func (s SimHigh) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunOn(ctx, top)
-}
-
 // RunOn executes the tester in the simultaneous model, reusing top's
 // cached player views.
 func (s SimHigh) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {
@@ -226,16 +216,6 @@ func (s SimLow) Cap(n int) int {
 		delta = 0.1
 	}
 	return int(math.Ceil(t.CapSlack * t.C * t.C * (math.Sqrt(float64(n)) + s.AvgDegree) * 2 / delta))
-}
-
-// Run executes the tester in the simultaneous model over a throwaway
-// topology built from cfg.
-func (s SimLow) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunOn(ctx, top)
 }
 
 // RunOn executes the tester in the simultaneous model, reusing top's

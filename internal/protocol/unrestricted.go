@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 
+	"tricomm/internal/bitset"
 	"tricomm/internal/blocks"
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
-	"tricomm/internal/marks"
 )
 
 // UnrestrictedTunables exposes the constant factors of the unrestricted
@@ -90,16 +90,6 @@ func (u Unrestricted) tunables() UnrestrictedTunables {
 		t.CapSlack = d.CapSlack
 	}
 	return t
-}
-
-// Run executes the tester in the coordinator model over a throwaway
-// topology built from cfg.
-func (u Unrestricted) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return u.RunOn(ctx, top)
 }
 
 // RunOn executes the tester in the coordinator model, reusing top's cached
@@ -208,8 +198,8 @@ func (u Unrestricted) findTriangleVee(
 		dEst float64
 	}
 	var cands []cand
-	seen := marks.Get(c.N)
-	defer marks.Put(seen)
+	seen := bitset.Get(c.N)
+	defer bitset.Put(seen)
 	// GetFullCandidates (Algorithm 3): up to q uniform samples from B̃ᵢ,
 	// degree-filtered to ~N(Bᵢ) — candidate work is the k²·polylog
 	// additive term, metered under the "candidates" phase.

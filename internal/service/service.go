@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"tricomm"
-	"tricomm/internal/graph"
 	"tricomm/internal/harness/runner"
+	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
 )
 
@@ -80,7 +80,7 @@ func (c Config) withDefaults() Config {
 	if c.TrialJobs <= 0 {
 		c.TrialJobs = 1
 	}
-	c.IntraWorkers = graph.IntraWorkers(c.IntraWorkers)
+	c.IntraWorkers = parwork.Workers(c.IntraWorkers)
 	if c.KeepJobs <= 0 {
 		c.KeepJobs = 4096
 	}

@@ -142,7 +142,7 @@ func (c EdgeCodec) GetEdgeList(r *Reader) ([]Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(cnt) > int64(r.Remaining())/int64(max(1, c.Width())) {
+	if cnt > uint64(r.Remaining()/max(1, c.Width())) {
 		return nil, fmt.Errorf("%w: edge list length %d exceeds message", ErrShortMessage, cnt)
 	}
 	edges := make([]Edge, 0, cnt)
@@ -181,7 +181,7 @@ func (c VertexCodec) GetVertexList(r *Reader) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(cnt) > int64(r.Remaining())/int64(max(1, c.width)) {
+	if cnt > uint64(r.Remaining()/max(1, c.width)) {
 		return nil, fmt.Errorf("%w: vertex list length %d exceeds message", ErrShortMessage, cnt)
 	}
 	vs := make([]int, 0, cnt)

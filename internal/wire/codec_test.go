@@ -152,10 +152,14 @@ func TestEdgeListBitsMatchesEncoding(t *testing.T) {
 
 func TestEdgeListTruncated(t *testing.T) {
 	ec := NewEdgeCodec(32)
-	var w Writer
-	w.WriteUvarint(1000) // claims 1000 edges, provides none
-	if _, err := ec.GetEdgeList(ReaderFor(&w)); !errors.Is(err, ErrShortMessage) {
-		t.Fatalf("err = %v, want ErrShortMessage", err)
+	// Each count claims more edges than follow; from 2^63 a count is
+	// negative as an int64.
+	for _, cnt := range []uint64{1000, 1 << 63, ^uint64(0)} {
+		var w Writer
+		w.WriteUvarint(cnt)
+		if _, err := ec.GetEdgeList(ReaderFor(&w)); !errors.Is(err, ErrShortMessage) {
+			t.Fatalf("count %d: err = %v, want ErrShortMessage", cnt, err)
+		}
 	}
 }
 
@@ -177,10 +181,12 @@ func TestVertexListRoundTrip(t *testing.T) {
 
 func TestVertexListTruncated(t *testing.T) {
 	vc := NewVertexCodec(32)
-	var w Writer
-	w.WriteUvarint(999)
-	if _, err := vc.GetVertexList(ReaderFor(&w)); !errors.Is(err, ErrShortMessage) {
-		t.Fatalf("err = %v, want ErrShortMessage", err)
+	for _, cnt := range []uint64{999, 1 << 63, ^uint64(0)} {
+		var w Writer
+		w.WriteUvarint(cnt)
+		if _, err := vc.GetVertexList(ReaderFor(&w)); !errors.Is(err, ErrShortMessage) {
+			t.Fatalf("count %d: err = %v, want ErrShortMessage", cnt, err)
+		}
 	}
 }
 

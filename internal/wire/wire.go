@@ -245,7 +245,7 @@ func (r *Reader) ReadGamma() (uint64, error) {
 
 // ReadBytes consumes 8·n bits into a fresh byte slice.
 func (r *Reader) ReadBytes(n int) ([]byte, error) {
-	if n < 0 || r.Remaining() < 8*n {
+	if n < 0 || n > r.Remaining()/8 {
 		return nil, ErrShortMessage
 	}
 	p := make([]byte, n)

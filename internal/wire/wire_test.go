@@ -177,6 +177,12 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 			t.Fatalf("byte %d = %#x, want %#x", i, got[i], payload[i])
 		}
 	}
+	// Reads past the end fail, including counts for which 8·n wraps.
+	for _, n := range []int{1, 1 << 61} {
+		if _, err := r.ReadBytes(n); !errors.Is(err, ErrShortMessage) {
+			t.Fatalf("ReadBytes(%d) past the end: err = %v, want ErrShortMessage", n, err)
+		}
+	}
 }
 
 func TestAppend(t *testing.T) {

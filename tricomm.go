@@ -61,15 +61,6 @@ func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 // FromEdges builds a graph on n vertices from an edge list.
 func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 
-// IntraWorkers resolves an intra-trial worker-count request for the
-// parallel graph kernels (Graph.CountTrianglesN, DisjointVeeCountN,
-// FindTriangleN): an explicit n > 0 wins, otherwise the
-// TRICOMM_INTRA_WORKERS environment variable, otherwise 1. The parallel
-// kernels are bit-identical to their serial forms at any worker count,
-// so the knob only trades wall-clock for cores — it can never change a
-// verdict, witness, or count.
-func IntraWorkers(n int) int { return graph.IntraWorkers(n) }
-
 // RandomGraph samples an Erdős–Rényi graph with expected average degree d.
 func RandomGraph(n int, d float64, seed int64) *Graph {
 	return graph.RandomAvgDegree(n, d, rand.New(rand.NewSource(seed)))
@@ -612,23 +603,20 @@ func (c *Cluster) transportTopology(opts Options) (*comm.Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !faults.Enabled() {
-		if opts.Transport == TransportInProcess {
-			return top, nil
-		}
-		d, err := opts.Transport.dialer()
-		if err != nil {
-			return nil, err
-		}
-		return top.WithTransport(d), nil
+	if !faults.Enabled() && opts.Transport == TransportInProcess {
+		return top, nil
 	}
 	d, err := opts.Transport.dialer()
 	if err != nil {
 		return nil, err
 	}
-	// Seed the fault schedule from the cluster seed when the spec does not
-	// pin one, so faulted runs are as reproducible as everything else.
-	return top.WithTransport(transport.Faulty{Inner: d, Spec: faults.WithSeed(c.seed)}), nil
+	if faults.Enabled() {
+		// Seed the fault schedule from the cluster seed when the spec does
+		// not pin one, so faulted runs are as reproducible as everything
+		// else.
+		d = transport.Faulty{Inner: d, Spec: faults.WithSeed(c.seed)}
+	}
+	return top.WithTransport(d), nil
 }
 
 // Session validates opts, binds the selected tester to the cluster, and
