@@ -15,8 +15,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"tricomm/internal/blocks"
 	"tricomm/internal/comm"
 	"tricomm/internal/lowerbound"
+	"tricomm/internal/partition"
 	"tricomm/internal/protocol"
 	"tricomm/internal/streamred"
 	"tricomm/internal/xrand"
@@ -274,24 +276,39 @@ func BenchmarkAblation_Blackboard(b *testing.B) {
 }
 
 // BenchmarkBlocks_ApproxDegree measures the Theorem 3.1 building block
-// under heavy duplication.
+// under heavy duplication: blocks.ApproxDegree on a fixed vertex set of a
+// Duplicate{Q: 0.5} split, run over one topology the way E9 runs it.
 func BenchmarkBlocks_ApproxDegree(b *testing.B) {
 	b.ReportAllocs()
-	g := RandomGraph(2048, 32, 3)
-	cluster, err := Split(g, 8, SplitAll, 11)
+	const n, k = 2048, 8
+	g := RandomGraph(n, 32, 3)
+	shared := xrand.New(11)
+	top, err := comm.NewTopology(n, partition.Duplicate{Q: 0.5}.Split(g, k, shared).Inputs, shared)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = cluster
+	var params []blocks.ApproxParams
+	var vertices []int
+	for v := 0; v < n; v += n / 16 {
+		vertices = append(vertices, v)
+		params = append(params, blocks.DefaultApprox(fmt.Sprintf("bench/%d", v)))
+	}
+	ctx := context.Background()
 	var bits int64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := cluster.Test(context.Background(), Options{
-			Protocol: SimultaneousOblivious, Eps: 0.2,
-		})
+		st, err := comm.RunOn(ctx, top, func(ctx context.Context, c *comm.Coordinator) error {
+			for j, v := range vertices {
+				if _, err := blocks.ApproxDegree(ctx, c, v, params[j]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, comm.ServeLoop(blocks.Handle))
 		if err != nil {
 			b.Fatal(err)
 		}
-		bits += rep.Bits
+		bits += st.TotalBits
 	}
 	reportBits(b, bits)
 }

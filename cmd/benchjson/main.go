@@ -1,7 +1,8 @@
 // Command benchjson measures the repository's core benchmarks — graph
-// construction and membership, triangle machinery, and one end-to-end
-// protocol session — and emits the results as JSON: ns/op, allocs/op,
-// bytes/op, and (where the benchmark meters communication) bits/op.
+// construction and membership, triangle machinery, shared-randomness key
+// derivation, and end-to-end protocol sessions — and emits the results as
+// JSON: ns/op, allocs/op, bytes/op, and (where the benchmark meters
+// communication) bits/op.
 //
 // It exists for the BENCH_N.json perf trajectory: CI runs it with a short
 // -benchtime as a smoke artifact, and the numbers committed in
@@ -38,6 +39,7 @@ import (
 	"tricomm/internal/graph"
 	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
+	"tricomm/internal/xrand"
 )
 
 // Result is one benchmark's measurement.
@@ -462,6 +464,30 @@ func coreBenchmarks() []namedBench {
 			for i := 0; i < b.N; i++ {
 				g.HasEdgeBatch(i%2048, vs, out)
 			}
+		}},
+		{"xrand/key", func(b *testing.B) {
+			// Shared.Key on a 20-byte tag: SHA-256 over seed‖0x02‖tag.
+			s := xrand.New(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink xrand.Key
+			for i := 0; i < b.N; i++ {
+				sink ^= s.Key("unrestricted/b3/d417")
+			}
+			_ = sink
+		}},
+		{"xrand/prefix-key", func(b *testing.B) {
+			// One degree-estimator experiment key: restore the saved state
+			// of its tag prefix and hash a 3-digit experiment index.
+			keys := xrand.New(1).PrefixKeys([]byte("approx/unrestricted/b3/d417/1/417/2/"))
+			suffix := []byte("127")
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink xrand.Key
+			for i := 0; i < b.N; i++ {
+				sink ^= keys.Key(suffix)
+			}
+			_ = sink
 		}},
 		{"scenario/chung-lu", scenarioBench("chung-lu")},
 		{"scenario/sbm", scenarioBench("sbm")},

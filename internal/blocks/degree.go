@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"tricomm/internal/comm"
 	"tricomm/internal/parwork"
@@ -83,20 +84,19 @@ func (p ApproxParams) validate() error {
 //
 // Cost Θ(k·log log n + k·log k·m). Returns 0 if v is isolated.
 func ApproxDegree(ctx context.Context, c *comm.Coordinator, v int, prm ApproxParams) (float64, error) {
-	return approxCardinality(ctx, c, modeDegree, v, uint64(c.N), prm)
+	return approxCardinality(ctx, c, modeDegree, v, prm)
 }
 
 // ApproxDistinctEdges estimates |E| = |⋃_j E_j| within a factor of
 // prm.Alpha under duplication — the "distinct elements" corollary of
 // Theorem 3.1, with the edge set as the universe.
 func ApproxDistinctEdges(ctx context.Context, c *comm.Coordinator, prm ApproxParams) (float64, error) {
-	universe := uint64(c.N) * uint64(c.N)
-	return approxCardinality(ctx, c, modeEdges, 0, universe, prm)
+	return approxCardinality(ctx, c, modeEdges, 0, prm)
 }
 
 // approxCardinality is the common estimator core over an abstract element
 // universe.
-func approxCardinality(ctx context.Context, c *comm.Coordinator, mode countMode, v int, universe uint64, prm ApproxParams) (float64, error) {
+func approxCardinality(ctx context.Context, c *comm.Coordinator, mode countMode, v int, prm ApproxParams) (float64, error) {
 	if err := prm.validate(); err != nil {
 		return 0, err
 	}
@@ -159,25 +159,23 @@ func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int
 	if err != nil {
 		return 0, err
 	}
-	hits := make([][]bool, len(replies))
-	for j, msg := range replies {
+	// Experiment i succeeds when any player's bit i is set: OR the replies
+	// into one accumulator, then count.
+	hit := make([]bool, m)
+	for _, msg := range replies {
 		r := msg.Reader()
-		hits[j] = make([]bool, m)
-		for i := 0; i < m; i++ {
+		for i := range hit {
 			b, err := r.ReadBool()
 			if err != nil {
 				return 0, err
 			}
-			hits[j][i] = b
+			hit[i] = hit[i] || b
 		}
 	}
 	succ := 0
-	for i := 0; i < m; i++ {
-		for j := range hits {
-			if hits[j][i] {
-				succ++
-				break
-			}
+	for _, h := range hit {
+		if h {
+			succ++
 		}
 	}
 	return succ, nil
@@ -224,17 +222,27 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	}
 	elems := localElements(p, mode, v)
 	prob := 1 / guess
+	// Experiment i's key is Shared.Key("approx/<tag>/<mode>/<v>/<round>/<i>").
+	// The tags share everything up to the index, so each chunk hashes that
+	// prefix once and appends only the decimal index per experiment.
+	prefix := append(append([]byte("approx/"), tagBytes...), '/')
+	prefix = append(strconv.AppendUint(prefix, uint64(mode), 10), '/')
+	prefix = append(strconv.AppendInt(prefix, int64(v), 10), '/')
+	prefix = append(strconv.AppendUint(prefix, round, 10), '/')
 	// The m experiments are independent — each derives its own key from the
 	// shared randomness and scans the player's elements — so they fan
-	// across the player's workers, each writing only its own hits slot. The
-	// reply bits are then emitted serially in experiment order, identical
-	// to the serial loop at any width.
+	// across the player's workers, each writing only its own hits slot and
+	// owning its own key deriver. The reply bits are then emitted serially
+	// in experiment order, identical to the serial loop at any width.
 	mi := int(m)
 	hits := make([]bool, mi)
 	done := parRegion(p)
 	parwork.ForEach(p.Workers, mi, func(_, lo, hi int) {
+		keys := p.Shared.PrefixKeys(prefix)
+		idx := make([]byte, 0, 20)
 		for i := lo; i < hi; i++ {
-			key := p.Shared.Key(fmt.Sprintf("approx/%s/%d/%d/%d/%d", tagBytes, mode, v, round, i))
+			idx = strconv.AppendInt(idx[:0], int64(i), 10)
+			key := keys.Key(idx)
 			for _, e := range elems {
 				if key.Bernoulli(e, prob) {
 					hits[i] = true

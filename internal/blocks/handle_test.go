@@ -2,7 +2,9 @@ package blocks
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tricomm/internal/comm"
@@ -83,6 +85,62 @@ func TestHandleRejectsHostileFields(t *testing.T) {
 	for _, tc := range hostileRequests {
 		if _, err := Handle(p, comm.FromWriter(tc.w)); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
+	}
+}
+
+// TestSampleTestKeys pins the player's SampleTest reply to the key
+// formula the estimator has always used, independently of the goldens:
+// experiment i's key is Shared.Key("approx/<tag>/<mode>/<v>/<round>/<i>"),
+// and its bit is set when any local element falls in that key's
+// 1/guess-sample. Width 8 runs several chunks, each with its own key
+// deriver, at once.
+func TestSampleTestKeys(t *testing.T) {
+	cases := []struct {
+		tag         string
+		mode        countMode
+		v, round, m uint64
+		guess       float64
+	}{
+		{"t", modeDegree, 2, 0, 16, 2},
+		{"unrestricted/b3/d417", modeDegree, 0, 3, 300, 1.5},
+		{"", modeDegree, 5, 7, 20, 3.7},
+		{strings.Repeat("long/", 20), modeDegree, 3, 12, 64, 2},
+		{"e9/417", modeEdges, 0, 1, 100, 4},
+		{"x", modeEdges, 1 << 63, 2, 40, 6}, // v formats as a negative int
+		{"none", modeDegree, 1, 0, 0, 2},
+	}
+	for _, workers := range []int{1, 8} {
+		p := handlePlayer()
+		p.Workers = workers
+		for _, tc := range cases {
+			req := request(opSampleTest, uv(uint64(tc.mode)), uv(tc.v), uv(tc.round), uv(tc.m), float(tc.guess), tag(tc.tag))
+			reply, err := Handle(p, comm.FromWriter(req))
+			if err != nil {
+				t.Fatalf("workers %d, tag %q: %v", workers, tc.tag, err)
+			}
+			if got := reply.Bits(); got != int(tc.m) {
+				t.Fatalf("workers %d, tag %q: reply has %d bits, want %d", workers, tc.tag, got, tc.m)
+			}
+			elems := localElements(p, tc.mode, int(tc.v))
+			r := reply.Reader()
+			for i := 0; i < int(tc.m); i++ {
+				key := p.Shared.Key(fmt.Sprintf("approx/%s/%d/%d/%d/%d", tc.tag, tc.mode, int(tc.v), tc.round, i))
+				want := false
+				for _, e := range elems {
+					if key.Bernoulli(e, 1/tc.guess) {
+						want = true
+						break
+					}
+				}
+				got, err := r.ReadBool()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("workers %d, tag %q, experiment %d: bit %v, want %v", workers, tc.tag, i, got, want)
+				}
+			}
 		}
 	}
 }

@@ -109,16 +109,18 @@ type Coordinator struct {
 }
 
 // linkErr maps a transport failure on player j's link to the
-// coordinator-side error vocabulary.
+// coordinator-side error vocabulary. Cancellation is checked before a
+// closed link: a player that exits because the run was canceled closes
+// its link, and the run must still report ErrCanceled.
 func (c *Coordinator) linkErr(ctx context.Context, j int, err error) error {
 	if errors.Is(err, transport.ErrAborted) {
 		return fmt.Errorf("%w: player %d link: %v", ErrSessionAborted, j, err)
 	}
-	if errors.Is(err, transport.ErrClosed) {
-		return fmt.Errorf("%w: player %d", ErrPlayerDone, j)
-	}
 	if ctx.Err() != nil {
 		return fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+	}
+	if errors.Is(err, transport.ErrClosed) {
+		return fmt.Errorf("%w: player %d", ErrPlayerDone, j)
 	}
 	return err
 }

@@ -10,6 +10,14 @@
 // derive bit-identical randomness, which is exactly the shared-randomness
 // model (and makes every experiment reproducible).
 //
+// A key is the first 8 bytes, read little-endian, of
+// SHA-256(seed‖0x02‖tag), where seed is the 32-byte root New hashes from
+// the 64-bit seed. The degree estimator's per-experiment keys, whose tags
+// share everything up to the experiment index, come from PrefixKeys: it
+// hashes seed‖0x02‖prefix once, saves that SHA-256 state and hashes only
+// each suffix, so the keys have the same value as Shared.Key on the whole
+// tag.
+//
 // Point queries are O(1): Key.Rank gives each element a pseudo-random rank
 // inducing a uniform permutation, and Key.Bernoulli answers "is element x in
 // the p-sample?" without materializing the sample. Both are what the
@@ -19,8 +27,9 @@ package xrand
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
-	"math"
+	"hash"
 	"math/rand"
 )
 
@@ -60,6 +69,49 @@ func (s *Shared) Key(tag string) Key {
 	h.Write([]byte(tag))
 	sum := h.Sum(nil)
 	return Key(binary.LittleEndian.Uint64(sum[:8]))
+}
+
+// PrefixKeys derives the keys of tags that share one prefix: Key(suffix)
+// equals Shared.Key(prefix+suffix) bit for bit. It hashes seed‖0x02‖prefix
+// once and saves that SHA-256 state; each Key call restores the state and
+// hashes only the suffix, so a key whose tag would span two compression
+// blocks costs one, and allocates nothing. A PrefixKeys is not safe for
+// concurrent use; give each goroutine its own.
+type PrefixKeys struct {
+	h     hash.Hash
+	load  encoding.BinaryUnmarshaler // h's state loader
+	state []byte                     // h's state after the prefix
+	sum   [sha256.Size]byte          // reused digest buffer
+}
+
+// PrefixKeys returns a deriver for the keys of tags that start with
+// prefix.
+func (s *Shared) PrefixKeys(prefix []byte) *PrefixKeys {
+	h := sha256.New()
+	h.Write(s.seed[:])
+	h.Write([]byte{0x02})
+	h.Write(prefix)
+	// The standard library's SHA-256 digest always implements the
+	// encoding interfaces and never fails to marshal its own state.
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("xrand: saving SHA-256 state: " + err.Error())
+	}
+	return &PrefixKeys{
+		h:     h,
+		load:  h.(encoding.BinaryUnmarshaler),
+		state: state,
+	}
+}
+
+// Key returns the key of the tag prefix+suffix.
+func (p *PrefixKeys) Key(suffix []byte) Key {
+	if err := p.load.UnmarshalBinary(p.state); err != nil {
+		panic("xrand: restoring SHA-256 state: " + err.Error())
+	}
+	p.h.Write(suffix)
+	p.h.Sum(p.sum[:0])
+	return Key(binary.LittleEndian.Uint64(p.sum[:8]))
 }
 
 // Stream returns a math/rand stream seeded deterministically by tag. Each
@@ -123,17 +175,6 @@ func (k Key) Bernoulli(x uint64, p float64) bool {
 	return k.Uniform01(x) < p
 }
 
-// SampleSubset enumerates the elements of [0,n) in the i.i.d. p-sample.
-func (k Key) SampleSubset(n int, p float64) []int {
-	var out []int
-	for x := 0; x < n; x++ {
-		if k.Bernoulli(uint64(x), p) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // MinRank returns the element of elems with the smallest rank under the
 // key, or (-1, false) if elems is empty. This is the shared-permutation
 // primitive: all parties computing MinRank over sets whose union is S agree
@@ -149,34 +190,6 @@ func (k Key) MinRank(elems []int) (int, bool) {
 		}
 	}
 	return best, true
-}
-
-// Binomial samples Binomial(n, p) using the given stream. It uses direct
-// simulation for small n·p and a normal approximation would bias tails, so
-// for large n it samples via the geometric-jump method (O(n·p) expected
-// time), which is exact.
-func Binomial(rng *rand.Rand, n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// Geometric jumps: number of failures between successes is
-	// Geometric(p); exact and O(np) expected.
-	count := 0
-	i := 0
-	logq := math.Log1p(-p)
-	for {
-		// Skip ahead by a Geometric(p) gap.
-		u := rng.Float64()
-		gap := int(math.Floor(math.Log(1-u) / logq))
-		i += gap + 1
-		if i > n {
-			return count
-		}
-		count++
-	}
 }
 
 // Reservoir maintains a uniform k-sample over a stream of elements using

@@ -45,6 +45,45 @@ func TestSeedSeparation(t *testing.T) {
 	}
 }
 
+// TestPrefixKeysMatchKey pins the saved-state derivation to Shared.Key on
+// the whole tag. With the 33 bytes of seed‖0x02 in front, the prefix and
+// suffix lengths cross SHA-256's padding edges (55 and 119 bytes) and
+// block edges (64 and 128 bytes). One deriver per prefix serves suffixes
+// of rising and then falling length.
+func TestPrefixKeysMatchKey(t *testing.T) {
+	s := New(7)
+	const maxPrefix, maxSuffix = 150, 40
+	text := make([]byte, maxPrefix+maxSuffix)
+	for i := range text {
+		text[i] = byte('!' + i*37%90)
+	}
+	lens := make([]int, 0, 2*maxSuffix+1)
+	for n := 0; n <= maxSuffix; n++ {
+		lens = append(lens, n)
+	}
+	for n := maxSuffix - 1; n >= 0; n-- {
+		lens = append(lens, n)
+	}
+	for pl := 0; pl <= maxPrefix; pl++ {
+		prefix := text[:pl]
+		keys := s.PrefixKeys(prefix)
+		for _, sl := range lens {
+			suffix := text[pl : pl+sl]
+			if got, want := keys.Key(suffix), s.Key(string(prefix)+string(suffix)); got != want {
+				t.Fatalf("prefix %d bytes, suffix %d bytes: key %#x, want %#x", pl, sl, got, want)
+			}
+		}
+	}
+}
+
+func TestPrefixKeysAllocs(t *testing.T) {
+	keys := New(7).PrefixKeys([]byte("approx/unrestricted/b3/d417/1/417/2/"))
+	suffix := []byte("127")
+	if n := testing.AllocsPerRun(100, func() { keys.Key(suffix) }); n != 0 {
+		t.Fatalf("PrefixKeys.Key allocates %v times per key, want 0", n)
+	}
+}
+
 func TestPermIsBijection(t *testing.T) {
 	f := func(seed uint64, sz uint8) bool {
 		n := int(sz)%64 + 1
@@ -172,66 +211,12 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestSampleSubsetMatchesBernoulli(t *testing.T) {
-	k := New(17).Key("sub")
-	const n = 1000
-	sub := k.SampleSubset(n, 0.3)
-	inSub := map[int]bool{}
-	for _, x := range sub {
-		inSub[x] = true
-	}
-	for x := 0; x < n; x++ {
-		if inSub[x] != k.Bernoulli(uint64(x), 0.3) {
-			t.Fatalf("subset and Bernoulli disagree at %d", x)
-		}
-	}
-}
-
 func TestUniform01Range(t *testing.T) {
 	k := New(23).Key("u")
 	for x := uint64(0); x < 10000; x++ {
 		u := k.Uniform01(x)
 		if u < 0 || u >= 1 {
 			t.Fatalf("Uniform01(%d) = %v out of [0,1)", x, u)
-		}
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	rng := New(31).Stream("binom")
-	const n, p, trials = 1000, 0.05, 3000
-	var sum, sumsq float64
-	for i := 0; i < trials; i++ {
-		v := float64(Binomial(rng, n, p))
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / trials
-	wantMean := float64(n) * p
-	if math.Abs(mean-wantMean) > 1.5 {
-		t.Errorf("mean %.2f, want ~%.2f", mean, wantMean)
-	}
-	variance := sumsq/trials - mean*mean
-	wantVar := float64(n) * p * (1 - p)
-	if math.Abs(variance-wantVar) > 0.25*wantVar {
-		t.Errorf("variance %.2f, want ~%.2f", variance, wantVar)
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	rng := New(1).Stream("b")
-	if Binomial(rng, 0, 0.5) != 0 {
-		t.Fatal("Binomial(0, p) != 0")
-	}
-	if Binomial(rng, 10, 0) != 0 {
-		t.Fatal("Binomial(n, 0) != 0")
-	}
-	if Binomial(rng, 10, 1) != 10 {
-		t.Fatal("Binomial(n, 1) != n")
-	}
-	for i := 0; i < 100; i++ {
-		if v := Binomial(rng, 5, 0.5); v < 0 || v > 5 {
-			t.Fatalf("Binomial out of range: %d", v)
 		}
 	}
 }
