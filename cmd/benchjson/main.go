@@ -36,9 +36,12 @@ import (
 
 	tricomm "tricomm"
 	"tricomm/internal/bitset"
+	"tricomm/internal/blocks"
+	"tricomm/internal/comm"
 	"tricomm/internal/graph"
 	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
+	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
 
@@ -224,6 +227,18 @@ var foldBody = func(lo, hi int) int64 {
 		s += int64(i & 7)
 	}
 	return s
+}
+
+// replyWidths are the WriteUint widths of the wire benchmarks' message: a
+// 3-bit header, then a 300-bit reply in 64-bit words.
+var replyWidths = []int{3, 64, 64, 64, 64, 44}
+
+// writeReply writes the wire benchmarks' message, its words derived from
+// seed.
+func writeReply(w *wire.Writer, seed uint64) {
+	for j, width := range replyWidths {
+		w.WriteUint(seed*0x9e3779b97f4a7c15+uint64(j), width)
+	}
 }
 
 // scenarioBench measures one scenario family's generation hot path at its
@@ -476,18 +491,49 @@ func coreBenchmarks() []namedBench {
 			}
 			_ = sink
 		}},
-		{"xrand/prefix-key", func(b *testing.B) {
-			// One degree-estimator experiment key: restore the saved state
-			// of its tag prefix and hash a 3-digit experiment index.
-			keys := xrand.New(1).PrefixKeys([]byte("approx/unrestricted/b3/d417/1/417/2/"))
-			suffix := []byte("127")
+		{"wire/write-uint", func(b *testing.B) {
+			// A 3-bit header, then a 300-bit SampleTest reply written 64
+			// bits per WriteUint, so every word straddles byte edges.
+			var w wire.Writer
 			b.ReportAllocs()
 			b.ResetTimer()
-			var sink xrand.Key
 			for i := 0; i < b.N; i++ {
-				sink ^= keys.Key(suffix)
+				w.Reset()
+				writeReply(&w, uint64(i))
+			}
+		}},
+		{"wire/read-uint", func(b *testing.B) {
+			// Read back the message wire/write-uint writes.
+			var w wire.Writer
+			writeReply(&w, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				r := wire.ReaderFor(&w)
+				for _, width := range replyWidths {
+					v, err := r.ReadUint(width)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink ^= v
+				}
 			}
 			_ = sink
+		}},
+		{"blocks/sample-test", func(b *testing.B) {
+			// One player answering one degree-estimator round: m = 300
+			// experiments for a vertex of degree ~20 at guess 8, width 1.
+			g := graph.ErdosRenyi(2048, 0.01, rand.New(rand.NewSource(4)))
+			p := &comm.Player{K: 4, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(1), Workers: 1}
+			req := blocks.SampleTestRequest(7, "unrestricted/b3/d417", 2, 300, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := blocks.Handle(p, req); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}},
 		{"scenario/chung-lu", scenarioBench("chung-lu")},
 		{"scenario/sbm", scenarioBench("sbm")},

@@ -32,12 +32,12 @@ type goldenCase struct {
 var goldenCases = []goldenCase{
 	{name: "interactive-far", n: 512, d: 8, k: 4, seed: 11, far: true,
 		opts: Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 8},
-		free: false, witness: Triangle{A: 1, B: 315, C: 376}, bits: 415611,
-		perPlayer: []int64{103928, 103999, 103844, 103840}, rounds: 399, proto: "unrestricted"},
+		free: false, witness: Triangle{A: 85, B: 87, C: 192}, bits: 512148,
+		perPlayer: []int64{128024, 128145, 128025, 127954}, rounds: 495, proto: "unrestricted"},
 	{name: "interactive-oblivious-far", n: 512, d: 8, k: 4, seed: 12, far: true,
 		opts: Options{Protocol: Interactive, Eps: 0.2},
-		free: false, witness: Triangle{A: 88, B: 114, C: 228}, bits: 530434,
-		perPlayer: []int64{132603, 132568, 132700, 132563}, rounds: 514, proto: "unrestricted"},
+		free: false, witness: Triangle{A: 88, B: 114, C: 228}, bits: 519484,
+		perPlayer: []int64{129879, 129817, 129958, 129830}, rounds: 508, proto: "unrestricted"},
 	{name: "blackboard-far", n: 512, d: 8, k: 4, seed: 13, far: true,
 		opts: Options{Protocol: InteractiveBlackboard, Eps: 0.2, AvgDegree: 8},
 		free: false, witness: Triangle{A: 7, B: 330, C: 415}, bits: 1627,
@@ -64,8 +64,8 @@ var goldenCases = []goldenCase{
 		perPlayer: []int64{1008, 828, 628, 888, 1008, 768}, rounds: 1, proto: "sim-low"},
 	{name: "interactive-free", n: 512, d: 8, k: 4, seed: 19, far: false,
 		opts: Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 8},
-		free: true, bits: 591939,
-		perPlayer: []int64{148250, 147851, 148001, 147837}, rounds: 600, proto: "unrestricted"},
+		free: true, bits: 598274,
+		perPlayer: []int64{149845, 149410, 149578, 149441}, rounds: 603, proto: "unrestricted"},
 	{name: "blackboard-free", n: 512, d: 8, k: 4, seed: 20, far: false,
 		opts: Options{Protocol: InteractiveBlackboard, Eps: 0.2},
 		free: true, bits: 15505,

@@ -10,6 +10,7 @@ import (
 	"tricomm/internal/comm"
 	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
+	"tricomm/internal/xrand"
 )
 
 // ApproxParams tunes the duplication-tolerant cardinality estimator of
@@ -147,6 +148,38 @@ func approxCardinality(ctx context.Context, c *comm.Coordinator, mode countMode,
 // number of experiments in which at least one player's input intersected
 // the shared sample.
 func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int, tag string, round, m int, guess float64) (int, error) {
+	replies, err := c.AskAll(ctx, sampleTestRequest(mode, v, tag, round, m, guess))
+	if err != nil {
+		return 0, err
+	}
+	// Experiment i succeeds when any player's bit i is set: OR the replies
+	// into one accumulator, 64 experiments per word, then count.
+	hit := make([]uint64, (m+63)/64)
+	for _, msg := range replies {
+		r := msg.Reader()
+		for j := range hit {
+			word, err := r.ReadUint(min(64, m-64*j))
+			if err != nil {
+				return 0, err
+			}
+			hit[j] |= word
+		}
+	}
+	succ := 0
+	for _, word := range hit {
+		succ += bits.OnesCount64(word)
+	}
+	return succ, nil
+}
+
+// SampleTestRequest is the request ApproxDegree sends every player in
+// guessing round `round` for vertex v: m experiments at the given guess,
+// under the estimator's tag. Benchmarks hand it straight to Handle.
+func SampleTestRequest(v int, tag string, round, m int, guess float64) comm.Msg {
+	return sampleTestRequest(modeDegree, v, tag, round, m, guess)
+}
+
+func sampleTestRequest(mode countMode, v int, tag string, round, m int, guess float64) comm.Msg {
 	w := reqWriter(opSampleTest)
 	w.WriteUvarint(uint64(mode))
 	w.WriteUvarint(uint64(v))
@@ -155,30 +188,7 @@ func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int
 	// The guess must be bit-identical on all parties; ship its float bits.
 	w.WriteUint(math.Float64bits(guess), 64)
 	w.WriteBytes([]byte(tag))
-	replies, err := c.AskAll(ctx, comm.FromWriter(w))
-	if err != nil {
-		return 0, err
-	}
-	// Experiment i succeeds when any player's bit i is set: OR the replies
-	// into one accumulator, then count.
-	hit := make([]bool, m)
-	for _, msg := range replies {
-		r := msg.Reader()
-		for i := range hit {
-			b, err := r.ReadBool()
-			if err != nil {
-				return 0, err
-			}
-			hit[i] = hit[i] || b
-		}
-	}
-	succ := 0
-	for _, h := range hit {
-		if h {
-			succ++
-		}
-	}
-	return succ, nil
+	return comm.FromWriter(w)
 }
 
 func handleCountMSB(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
@@ -221,42 +231,45 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	elems := localElements(p, mode, v)
-	prob := 1 / guess
-	// Experiment i's key is Shared.Key("approx/<tag>/<mode>/<v>/<round>/<i>").
-	// The tags share everything up to the index, so each chunk hashes that
-	// prefix once and appends only the decimal index per experiment.
-	prefix := append(append([]byte("approx/"), tagBytes...), '/')
-	prefix = append(strconv.AppendUint(prefix, uint64(mode), 10), '/')
-	prefix = append(strconv.AppendInt(prefix, int64(v), 10), '/')
-	prefix = append(strconv.AppendUint(prefix, round, 10), '/')
-	// The m experiments are independent — each derives its own key from the
-	// shared randomness and scans the player's elements — so they fan
-	// across the player's workers, each writing only its own hits slot and
-	// owning its own key deriver. The reply bits are then emitted serially
-	// in experiment order, identical to the serial loop at any width.
+	threshold := xrand.Threshold(1 / guess)
+	// Experiment i's key is Shared.Key("approx/<tag>/<mode>/<v>/<round>")
+	// .Child(i): one SHA-256 per request, one splitmix step per experiment.
+	tagKey := append(append([]byte("approx/"), tagBytes...), '/')
+	tagKey = append(strconv.AppendUint(tagKey, uint64(mode), 10), '/')
+	tagKey = append(strconv.AppendInt(tagKey, int64(v), 10), '/')
+	tagKey = strconv.AppendUint(tagKey, round, 10)
+	base := p.Shared.Key(string(tagKey))
+	// The m experiments are independent — each derives its own key from
+	// base and scans the player's elements — so they fan across the
+	// player's workers 64 at a time. Word j holds experiments 64j… MSB
+	// first, exactly the reply's bit order, and each chunk writes only its
+	// own words, so the reply is identical at any width.
 	mi := int(m)
-	hits := make([]bool, mi)
+	words := make([]uint64, (mi+63)/64)
 	done := parRegion(p)
-	parwork.ForEach(p.Workers, mi, func(_, lo, hi int) {
-		keys := p.Shared.PrefixKeys(prefix)
-		idx := make([]byte, 0, 20)
-		for i := lo; i < hi; i++ {
-			idx = strconv.AppendInt(idx[:0], int64(i), 10)
-			key := keys.Key(idx)
-			for _, e := range elems {
-				if key.Bernoulli(e, prob) {
-					hits[i] = true
-					break
+	parwork.ForEach(p.Workers, len(words), func(_, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			var word uint64
+			for i := 64 * j; i < min(64*j+64, mi); i++ {
+				key := base.Child(uint64(i))
+				hit := uint64(0)
+				for _, e := range elems {
+					if key.Below(e, threshold) {
+						hit = 1
+						break
+					}
 				}
+				word = word<<1 | hit
 			}
+			words[j] = word
 		}
 	})
 	done()
-	var w wire.Writer
-	for i := 0; i < mi; i++ {
-		w.WriteBool(hits[i])
+	w := wire.NewWriter(mi)
+	for j, word := range words {
+		w.WriteUint(word, min(64, mi-64*j))
 	}
-	return comm.FromWriter(&w), nil
+	return comm.FromWriter(w), nil
 }
 
 // readModeVertex decodes a count request's universe and vertex; degree

@@ -90,11 +90,11 @@ func TestHandleRejectsHostileFields(t *testing.T) {
 }
 
 // TestSampleTestKeys pins the player's SampleTest reply to the key
-// formula the estimator has always used, independently of the goldens:
-// experiment i's key is Shared.Key("approx/<tag>/<mode>/<v>/<round>/<i>"),
-// and its bit is set when any local element falls in that key's
-// 1/guess-sample. Width 8 runs several chunks, each with its own key
-// deriver, at once.
+// formula, independently of the goldens: experiment i's key is
+// Shared.Key("approx/<tag>/<mode>/<v>/<round>").Child(i), and its bit is
+// set when any local element falls in that key's 1/guess-sample. The
+// oracle samples with Bernoulli, so it also checks the handler's integer
+// threshold. Width 8 runs several chunks of 64 experiments at once.
 func TestSampleTestKeys(t *testing.T) {
 	cases := []struct {
 		tag         string
@@ -125,7 +125,7 @@ func TestSampleTestKeys(t *testing.T) {
 			elems := localElements(p, tc.mode, int(tc.v))
 			r := reply.Reader()
 			for i := 0; i < int(tc.m); i++ {
-				key := p.Shared.Key(fmt.Sprintf("approx/%s/%d/%d/%d/%d", tc.tag, tc.mode, int(tc.v), tc.round, i))
+				key := p.Shared.Key(fmt.Sprintf("approx/%s/%d/%d/%d", tc.tag, tc.mode, int(tc.v), tc.round)).Child(uint64(i))
 				want := false
 				for _, e := range elems {
 					if key.Bernoulli(e, 1/tc.guess) {

@@ -7,6 +7,10 @@
 // bits produced here. The package offers a bit-granular Writer/Reader pair
 // plus fixed-width, varint and elias-gamma integer codecs, and higher-level
 // codecs for vertices, edges and edge lists (see codec.go).
+//
+// The layout is that of writing one bit at a time, MSB first inside each
+// byte, with the last byte zero-padded. WriteUint and ReadUint move up to a
+// byte per step; the tests check them against a bit-at-a-time reference.
 package wire
 
 import (
@@ -80,12 +84,21 @@ func (w *Writer) WriteBool(v bool) {
 
 // WriteUint appends the width low-order bits of v, MSB first. Width must be
 // in 0..64; writing width 0 is a no-op. Bits of v above width are ignored.
+// Each step fills the rest of the last byte, so it moves up to 8 bits.
 func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 0 || width > 64 {
 		panic(fmt.Sprintf("wire: WriteUint width %d out of range", width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(uint(v>>uint(i)) & 1)
+	for width > 0 {
+		used := w.nbit & 7
+		if used == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		n := min(8-used, width)
+		width -= n
+		chunk := byte(v>>uint(width)) & (1<<n - 1)
+		w.buf[len(w.buf)-1] |= chunk << (8 - used - n)
+		w.nbit += n
 	}
 }
 
@@ -96,15 +109,11 @@ func (w *Writer) WriteUvarint(v uint64) {
 	for {
 		group := v & 0x7f
 		v >>= 7
-		if v != 0 {
-			w.WriteBit(1)
-		} else {
-			w.WriteBit(0)
-		}
-		w.WriteUint(group, 7)
 		if v == 0 {
+			w.WriteUint(group, 8)
 			return
 		}
+		w.WriteUint(0x80|group, 8)
 	}
 }
 
@@ -116,9 +125,7 @@ func (w *Writer) WriteGamma(v uint64) {
 		panic("wire: WriteGamma requires v >= 1")
 	}
 	n := bits.Len64(v) // number of significant bits
-	for i := 0; i < n-1; i++ {
-		w.WriteBit(0)
-	}
+	w.WriteUint(0, n-1)
 	w.WriteUint(v, n)
 }
 
@@ -127,18 +134,6 @@ func (w *Writer) WriteBytes(p []byte) {
 	for _, b := range p {
 		w.WriteUint(uint64(b), 8)
 	}
-}
-
-// Append copies all bits written to other onto w.
-func (w *Writer) Append(other *Writer) {
-	for i := 0; i < other.nbit; i++ {
-		w.WriteBit(other.bit(i))
-	}
-}
-
-// bit returns bit i of the written stream.
-func (w *Writer) bit(i int) uint {
-	return uint(w.buf[i>>3]>>(7-uint(i&7))) & 1
 }
 
 // Reader consumes a bit string produced by Writer. Reader is not safe for
@@ -181,6 +176,7 @@ func (r *Reader) ReadBool() (bool, error) {
 }
 
 // ReadUint consumes width bits and returns them as an unsigned integer.
+// Each step takes the rest of the current byte, so it moves up to 8 bits.
 func (r *Reader) ReadUint(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("%w: %d", ErrWidth, width)
@@ -189,9 +185,13 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 		return 0, ErrShortMessage
 	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v = v<<1 | uint64(b)
+	for width > 0 {
+		left := 8 - r.pos&7 // unread bits of the current byte
+		n := min(left, width)
+		chunk := r.buf[r.pos>>3] >> (left - n) & (1<<n - 1)
+		v = v<<uint(n) | uint64(chunk)
+		r.pos += n
+		width -= n
 	}
 	return v, nil
 }

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,24 +187,6 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAppend(t *testing.T) {
-	var a, b Writer
-	a.WriteUint(0b101, 3)
-	b.WriteUint(0b0110, 4)
-	a.Append(&b)
-	if a.BitLen() != 7 {
-		t.Fatalf("BitLen = %d, want 7", a.BitLen())
-	}
-	r := ReaderFor(&a)
-	v, err := r.ReadUint(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0b1010110 {
-		t.Fatalf("appended bits = %#b, want 0b1010110", v)
-	}
-}
-
 func TestBitsFor(t *testing.T) {
 	cases := []struct{ n, want int }{
 		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4},
@@ -294,4 +278,190 @@ func TestFuzzLikeRandomSequences(t *testing.T) {
 			t.Fatalf("trial %d: %d bits left over", trial, r.Remaining())
 		}
 	}
+}
+
+// refWriter encodes one bit at a time: the oracle for Writer's MSB-first
+// layout.
+type refWriter struct {
+	buf  []byte
+	nbit int
+}
+
+func (w *refWriter) bit(b uint) {
+	if w.nbit>>3 == len(w.buf) {
+		w.buf = append(w.buf, 0)
+	}
+	if b != 0 {
+		w.buf[w.nbit>>3] |= 1 << (7 - uint(w.nbit&7))
+	}
+	w.nbit++
+}
+
+func (w *refWriter) uint(v uint64, width int) {
+	for i := width - 1; i >= 0; i-- {
+		w.bit(uint(v>>uint(i)) & 1)
+	}
+}
+
+func (w *refWriter) uvarint(v uint64) {
+	for {
+		group := v & 0x7f
+		v >>= 7
+		if v != 0 {
+			w.bit(1)
+		} else {
+			w.bit(0)
+		}
+		w.uint(group, 7)
+		if v == 0 {
+			return
+		}
+	}
+}
+
+func (w *refWriter) gamma(v uint64) {
+	n := 64 - bits.LeadingZeros64(v)
+	for i := 0; i < n-1; i++ {
+		w.bit(0)
+	}
+	w.uint(v, n)
+}
+
+// refReadUint is the bit-at-a-time ReadUint of width bits at bit pos of
+// the first nbit bits of buf.
+func refReadUint(buf []byte, nbit, pos, width int) (uint64, error) {
+	if nbit-pos < width {
+		return 0, ErrShortMessage
+	}
+	var v uint64
+	for i := pos; i < pos+width; i++ {
+		v = v<<1 | uint64(buf[i>>3]>>(7-uint(i&7))&1)
+	}
+	return v, nil
+}
+
+// codecOps bounds the op string checkCodec reads, so one check stays
+// well under a millisecond: at most ~620 bits of message.
+const codecOps = 96
+
+// checkCodec decodes ops into a sequence of Writer calls — WriteBit,
+// WriteBool, WriteUint at widths 0–64, WriteUvarint, WriteGamma and
+// WriteBytes — after align leading bits, and requires the Writer to match
+// refWriter's bytes and bit length after every call. It then reads the
+// message with ReadUint at every offset and width 0–64 and requires
+// refReadUint's value, position and error, ErrShortMessage past the end.
+func checkCodec(t *testing.T, align int, ops []byte) {
+	t.Helper()
+	if len(ops) > codecOps {
+		ops = ops[:codecOps]
+	}
+	next := func() byte {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return b
+	}
+	word := func() uint64 {
+		var v uint64
+		for i := 0; i < 8; i++ {
+			v = v<<8 | uint64(next())
+		}
+		return v
+	}
+	var w Writer
+	var ref refWriter
+	for i := 0; i < align; i++ {
+		w.WriteBit(uint(i & 1))
+		ref.bit(uint(i & 1))
+	}
+	for call := 0; len(ops) > 0; call++ {
+		op := next() % 6
+		switch op {
+		case 0:
+			b := uint(next())
+			w.WriteBit(b)
+			ref.bit(b)
+		case 1:
+			b := next()&1 == 1
+			w.WriteBool(b)
+			if b {
+				ref.bit(1)
+			} else {
+				ref.bit(0)
+			}
+		case 2:
+			width := int(next() % 65)
+			v := word()
+			w.WriteUint(v, width)
+			ref.uint(v, width)
+		case 3:
+			shift := next() % 64
+			v := word() >> shift
+			w.WriteUvarint(v)
+			ref.uvarint(v)
+		case 4:
+			shift := next() % 64
+			v := max(word()>>shift, 1)
+			w.WriteGamma(v)
+			ref.gamma(v)
+		case 5:
+			p := make([]byte, next()%9)
+			for i := range p {
+				p[i] = next()
+			}
+			w.WriteBytes(p)
+			for _, b := range p {
+				ref.uint(uint64(b), 8)
+			}
+		}
+		if w.BitLen() != ref.nbit || !bytes.Equal(w.Bytes(), ref.buf) {
+			t.Fatalf("align %d, call %d (op %d): writer has %d bits %x, reference %d bits %x",
+				align, call, op, w.BitLen(), w.Bytes(), ref.nbit, ref.buf)
+		}
+	}
+	buf, nbit := w.Bytes(), w.BitLen()
+	r := NewReader(buf, nbit)
+	for pos := 0; pos <= nbit; pos++ {
+		for width := 0; width <= 64; width++ {
+			at := *r
+			got, err := at.ReadUint(width)
+			want, werr := refReadUint(buf, nbit, pos, width)
+			if got != want || err != werr {
+				t.Fatalf("align %d: ReadUint(%d) at bit %d of %d = %#x, %v; reference %#x, %v",
+					align, width, pos, nbit, got, err, want, werr)
+			}
+			if werr == nil && at.Remaining() != nbit-pos-width {
+				t.Fatalf("align %d: ReadUint(%d) at bit %d left %d bits, want %d",
+					align, width, pos, at.Remaining(), nbit-pos-width)
+			}
+		}
+		if pos < nbit {
+			r.ReadBit()
+		}
+	}
+}
+
+// TestCodecMatchesReference drives Writer and Reader against the
+// bit-at-a-time reference with random op strings at every alignment.
+func TestCodecMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	ops := make([]byte, codecOps)
+	for trial := 0; trial < 24; trial++ {
+		rng.Read(ops)
+		for align := 0; align < 8; align++ {
+			checkCodec(t, align, ops)
+		}
+	}
+}
+
+// FuzzCodec is TestCodecMatchesReference on arbitrary op strings.
+func FuzzCodec(f *testing.F) {
+	f.Add(uint8(0), []byte{2, 64, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(3), []byte{0, 1, 2, 13, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 5, 8, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(7), []byte{3, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 4, 63, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, align uint8, ops []byte) {
+		checkCodec(t, int(align%8), ops)
+	})
 }

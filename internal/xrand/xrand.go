@@ -12,24 +12,24 @@
 //
 // A key is the first 8 bytes, read little-endian, of
 // SHA-256(seed‖0x02‖tag), where seed is the 32-byte root New hashes from
-// the 64-bit seed. The degree estimator's per-experiment keys, whose tags
-// share everything up to the experiment index, come from PrefixKeys: it
-// hashes seed‖0x02‖prefix once, saves that SHA-256 state and hashes only
-// each suffix, so the keys have the same value as Shared.Key on the whole
-// tag.
+// the 64-bit seed. Keys of many sub-experiments come from one such key by
+// Key.Child, one splitmix64 step each: the degree estimator's experiment i
+// in a guessing round uses Shared.Key("approx/<tag>/<mode>/<v>/<round>")
+// .Child(i), so a round costs one SHA-256 however many experiments it runs.
 //
 // Point queries are O(1): Key.Rank gives each element a pseudo-random rank
 // inducing a uniform permutation, and Key.Bernoulli answers "is element x in
 // the p-sample?" without materializing the sample. Both are what the
 // protocols need — e.g. SampleUniformFromB̃ᵢ only compares ranks of vertices
-// each player locally knows.
+// each player locally knows. Key.Below with Threshold(p) gives exactly
+// Bernoulli's answers by one integer comparison: Uniform01 is u·2⁻⁵³ for an
+// integer u, and p·2⁵³ is exact, so u·2⁻⁵³ < p exactly when u < ⌈p·2⁵³⌉.
 package xrand
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
-	"hash"
+	"math"
 	"math/rand"
 )
 
@@ -71,49 +71,6 @@ func (s *Shared) Key(tag string) Key {
 	return Key(binary.LittleEndian.Uint64(sum[:8]))
 }
 
-// PrefixKeys derives the keys of tags that share one prefix: Key(suffix)
-// equals Shared.Key(prefix+suffix) bit for bit. It hashes seed‖0x02‖prefix
-// once and saves that SHA-256 state; each Key call restores the state and
-// hashes only the suffix, so a key whose tag would span two compression
-// blocks costs one, and allocates nothing. A PrefixKeys is not safe for
-// concurrent use; give each goroutine its own.
-type PrefixKeys struct {
-	h     hash.Hash
-	load  encoding.BinaryUnmarshaler // h's state loader
-	state []byte                     // h's state after the prefix
-	sum   [sha256.Size]byte          // reused digest buffer
-}
-
-// PrefixKeys returns a deriver for the keys of tags that start with
-// prefix.
-func (s *Shared) PrefixKeys(prefix []byte) *PrefixKeys {
-	h := sha256.New()
-	h.Write(s.seed[:])
-	h.Write([]byte{0x02})
-	h.Write(prefix)
-	// The standard library's SHA-256 digest always implements the
-	// encoding interfaces and never fails to marshal its own state.
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic("xrand: saving SHA-256 state: " + err.Error())
-	}
-	return &PrefixKeys{
-		h:     h,
-		load:  h.(encoding.BinaryUnmarshaler),
-		state: state,
-	}
-}
-
-// Key returns the key of the tag prefix+suffix.
-func (p *PrefixKeys) Key(suffix []byte) Key {
-	if err := p.load.UnmarshalBinary(p.state); err != nil {
-		panic("xrand: restoring SHA-256 state: " + err.Error())
-	}
-	p.h.Write(suffix)
-	p.h.Sum(p.sum[:0])
-	return Key(binary.LittleEndian.Uint64(p.sum[:8]))
-}
-
 // Stream returns a math/rand stream seeded deterministically by tag. Each
 // call returns an independent stream positioned at the start.
 func (s *Shared) Stream(tag string) *rand.Rand {
@@ -140,6 +97,13 @@ func (k Key) Hash(x uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Child derives the key of sub-experiment i from k with one splitmix64
+// step: Child(i) is Key(Hash(i)). A key passed to Child is used for
+// nothing else, so its children need no separation from its Hash values.
+// Child is injective in i: i ↦ k + γ·(i+1) is injective for the odd
+// constant γ, and the finalizer is a bijection on 64-bit words.
+func (k Key) Child(i uint64) Key { return Key(k.Hash(i)) }
 
 // Rank returns the pseudo-random rank of element x, inducing a uniform
 // random order on any set of distinct elements (ties are impossible in
@@ -174,6 +138,27 @@ func (k Key) Bernoulli(x uint64, p float64) bool {
 	}
 	return k.Uniform01(x) < p
 }
+
+// Threshold returns the integer form of the sampling probability p for
+// Below: Below(x, Threshold(p)) == Bernoulli(x, p) for every key, x and p.
+// It is 0 for p ≤ 0 or NaN and 2⁵³ for p ≥ 1. Otherwise it is ⌈p·2⁵³⌉:
+// Uniform01 is exactly u·2⁻⁵³ for the integer u = Hash(x)>>11 < 2⁵³, and
+// p·2⁵³ is exact (a power-of-two scaling of a float in (0,1)), so
+// u·2⁻⁵³ < p holds exactly when u < ⌈p·2⁵³⌉.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below reports whether element x falls in the sample of threshold t, the
+// integer form of Bernoulli for loops that test one probability many
+// times: it skips the int→float conversion.
+func (k Key) Below(x, t uint64) bool { return k.Hash(x)>>11 < t }
 
 // MinRank returns the element of elems with the smallest rank under the
 // key, or (-1, false) if elems is empty. This is the shared-permutation
@@ -221,9 +206,6 @@ func (r *Reservoir) Offer(x int) {
 		r.buf[j] = x
 	}
 }
-
-// Seen reports the number of elements offered so far.
-func (r *Reservoir) Seen() int { return r.seen }
 
 // Sample returns a copy of the current sample.
 func (r *Reservoir) Sample() []int {
