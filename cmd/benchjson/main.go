@@ -9,11 +9,11 @@
 // BENCH_3.json were produced by it (see EXPERIMENTS.md for the
 // wall-clock sweep table).
 //
-// It also compares two of its own reports: `benchjson -compare old.json
-// new.json` prints a per-benchmark ns/op delta table and exits non-zero
-// when any shared benchmark regressed by more than -max-regress percent —
-// the CI guard against silent perf decay between committed BENCH_N.json
-// baselines.
+// It also compares its own reports: `benchjson -compare old new` prints a
+// per-benchmark ns/op delta table and exits non-zero when any shared
+// benchmark regressed by more than -max-regress percent. Each side is a
+// comma-separated list of reports (see compareReports). gate.sh, next to
+// this file, is the CI gate on top: a base revision against this tree.
 //
 // Examples:
 //
@@ -41,6 +41,7 @@ import (
 	"tricomm/internal/graph"
 	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
+	"tricomm/internal/stats"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
@@ -76,16 +77,16 @@ func run() error {
 		out        = flag.String("o", "", "output path (default stdout)")
 		benchtime  = flag.String("benchtime", "1s", "per-benchmark budget (duration or Nx count)")
 		zeroAlloc  = flag.String("assert-zero-alloc", "", "comma-separated benchmark names whose allocs_op must be 0 (exit 1 otherwise)")
-		compare    = flag.Bool("compare", false, "compare two reports: benchjson -compare old.json new.json (runs nothing)")
-		maxRegress = flag.Float64("max-regress", 20, "with -compare: exit 1 when any shared benchmark's ns/op grew by more than this percent")
+		compare    = flag.Bool("compare", false, "compare reports: benchjson -compare old.json[,old2.json…] new.json[,new2.json…] (runs nothing)")
+		maxRegress = flag.Float64("max-regress", 20, "with -compare: exit 1 when any shared benchmark's fastest and median ns/op both grew by more than this percent")
 	)
 	testing.Init()
 	flag.Parse()
 	if *compare {
 		if flag.NArg() != 2 {
-			return fmt.Errorf("-compare wants exactly two report paths, got %d", flag.NArg())
+			return fmt.Errorf("-compare wants exactly two comma-separated report lists, got %d arguments", flag.NArg())
 		}
-		return compareReports(flag.Arg(0), flag.Arg(1), *maxRegress)
+		return compareReports(strings.Split(flag.Arg(0), ","), strings.Split(flag.Arg(1), ","), *maxRegress)
 	}
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		return err
@@ -152,66 +153,79 @@ func run() error {
 	return zeroAllocErr
 }
 
-// compareReports prints a per-benchmark ns/op delta table between two
-// benchjson reports and returns an error when any benchmark present in
-// both regressed by more than maxRegress percent. Benchmarks present in
-// only one report are listed but never fail the comparison, so baselines
-// may gain or retire benchmarks without churn.
-func compareReports(oldPath, newPath string, maxRegress float64) error {
-	load := func(path string) (*Report, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var r Report
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &r, nil
-	}
-	oldRep, err := load(oldPath)
+// compareReports prints each benchmark's fastest and median ns/op on both
+// sides, two sets of benchjson reports, and returns an error when one
+// regressed by more than maxRegress percent in both: outside load slows
+// the median run, one lucky fast run moves the fastest, a real regression
+// moves both. Benchmarks on only one side never fail the comparison.
+func compareReports(oldPaths, newPaths []string, maxRegress float64) error {
+	oldNames, oldNs, err := loadRuns(oldPaths)
 	if err != nil {
 		return err
 	}
-	newRep, err := load(newPath)
+	newNames, newNs, err := loadRuns(newPaths)
 	if err != nil {
 		return err
 	}
-	oldBy := make(map[string]Result, len(oldRep.Results))
-	for _, r := range oldRep.Results {
-		oldBy[r.Name] = r
+	pct := func(old, cur float64) float64 {
+		if old <= 0 {
+			return 0
+		}
+		return (cur - old) / old * 100
 	}
-	fmt.Printf("%-32s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Printf("%-32s %13s %13s %8s %13s %13s %8s\n",
+		"benchmark", "old fastest", "new fastest", "delta", "old median", "new median", "delta")
 	var regressed []string
-	seen := make(map[string]bool, len(newRep.Results))
-	for _, nr := range newRep.Results {
-		seen[nr.Name] = true
-		or, ok := oldBy[nr.Name]
-		if !ok {
-			fmt.Printf("%-32s %14s %14.1f %9s\n", nr.Name, "-", nr.NsPerOp, "new")
+	for _, name := range newNames {
+		old, cur := oldNs[name], newNs[name]
+		if old == nil {
+			fmt.Printf("%-32s %13s %13.1f %8s\n", name, "-", stats.Quantile(cur, 0), "new")
 			continue
 		}
-		delta := 0.0
-		if or.NsPerOp > 0 {
-			delta = (nr.NsPerOp - or.NsPerOp) / or.NsPerOp * 100
-		}
+		oldFast, curFast := stats.Quantile(old, 0), stats.Quantile(cur, 0)
+		oldMed, curMed := stats.Quantile(old, 0.5), stats.Quantile(cur, 0.5)
+		dFast, dMed := pct(oldFast, curFast), pct(oldMed, curMed)
 		mark := ""
-		if delta > maxRegress {
+		if min(dFast, dMed) > maxRegress {
 			mark = "  REGRESSION"
-			regressed = append(regressed, nr.Name)
+			regressed = append(regressed, name)
 		}
-		fmt.Printf("%-32s %14.1f %14.1f %+8.1f%%%s\n", nr.Name, or.NsPerOp, nr.NsPerOp, delta, mark)
+		fmt.Printf("%-32s %13.1f %13.1f %+7.1f%% %13.1f %13.1f %+7.1f%%%s\n",
+			name, oldFast, curFast, dFast, oldMed, curMed, dMed, mark)
 	}
-	for _, or := range oldRep.Results {
-		if !seen[or.Name] {
-			fmt.Printf("%-32s %14.1f %14s %9s\n", or.Name, or.NsPerOp, "-", "gone")
+	for _, name := range oldNames {
+		if newNs[name] == nil {
+			fmt.Printf("%-32s %13.1f %13s %8s\n", name, stats.Quantile(oldNs[name], 0), "-", "gone")
 		}
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%: %s",
+		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% in both the fastest and the median run: %s",
 			len(regressed), maxRegress, strings.Join(regressed, ", "))
 	}
 	return nil
+}
+
+// loadRuns reads benchjson reports and returns every run's ns/op of each
+// benchmark, with the names in first-seen order.
+func loadRuns(paths []string) (names []string, ns map[string][]float64, err error) {
+	ns = map[string][]float64{}
+	for _, path := range paths {
+		var r Report
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &r)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		for _, res := range r.Results {
+			if ns[res.Name] == nil {
+				names = append(names, res.Name)
+			}
+			ns[res.Name] = append(ns[res.Name], res.NsPerOp)
+		}
+	}
+	return names, ns, nil
 }
 
 type namedBench struct {
@@ -523,10 +537,10 @@ func coreBenchmarks() []namedBench {
 		}},
 		{"blocks/sample-test", func(b *testing.B) {
 			// One player answering one degree-estimator round: m = 300
-			// experiments for a vertex of degree ~20 at guess 8, width 1.
+			// experiments for a vertex of degree ~20 at guess 2^3, width 1.
 			g := graph.ErdosRenyi(2048, 0.01, rand.New(rand.NewSource(4)))
 			p := &comm.Player{K: 4, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(1), Workers: 1}
-			req := blocks.SampleTestRequest(7, "unrestricted/b3/d417", 2, 300, 8)
+			req := blocks.SampleTestRequest(7, "unrestricted/b3/d417", 2, 300, 3)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

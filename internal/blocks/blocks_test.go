@@ -241,10 +241,13 @@ func TestApproxDegreeIsolated(t *testing.T) {
 func TestApproxDegreeBadParams(t *testing.T) {
 	g := graph.Complete(4)
 	runCoord(t, g, partition.Disjoint{}, 2, 11, func(ctx context.Context, c *comm.Coordinator) error {
-		if _, err := ApproxDegree(ctx, c, 0, ApproxParams{Alpha: 0.5, Tag: "x"}); err == nil {
-			return fmt.Errorf("alpha<1 accepted")
+		// Guesses are powers of two only when α is a power of 4.
+		for _, alpha := range []float64{0.5, 1, 2, 5} {
+			if _, err := ApproxDegree(ctx, c, 0, ApproxParams{Alpha: alpha, Tag: "x"}); err == nil {
+				return fmt.Errorf("alpha %v accepted", alpha)
+			}
 		}
-		if _, err := ApproxDegree(ctx, c, 0, ApproxParams{Alpha: 2}); err == nil {
+		if _, err := ApproxDegree(ctx, c, 0, ApproxParams{Alpha: 4}); err == nil {
 			return fmt.Errorf("empty tag accepted")
 		}
 		return nil

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"tricomm/internal/comm"
-	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
@@ -17,8 +16,8 @@ import (
 // Theorem 3.1. The defaults give a 4-approximation with small constant
 // error; tests and benches may trade experiments for accuracy.
 type ApproxParams struct {
-	// Alpha > 1 is the approximation ratio target. The estimator returns a
-	// value in [true/Alpha, Alpha·true] with probability ≥ 1-Tau.
+	// Alpha = 4^s, s ≥ 1, is the approximation ratio target. The estimator
+	// returns a value in [true/Alpha, Alpha·true] with probability ≥ 1-Tau.
 	Alpha float64
 	// Tau is the failure probability target.
 	Tau float64
@@ -60,9 +59,19 @@ func (p ApproxParams) experiments(rounds int) int {
 // a hostile request reaches the cap.
 const maxExperiments = 1 << 16
 
+// CheckAlpha returns an error unless alpha is 4^s for an integer s ≥ 1,
+// the ratios whose rounds step the guess exponent down by s.
+func CheckAlpha(alpha float64) error {
+	// α = ½·2^exp is 4^s, s ≥ 1, exactly when exp is odd and at least 3.
+	if frac, exp := math.Frexp(alpha); frac != 0.5 || exp%2 == 0 || exp < 3 {
+		return fmt.Errorf("blocks: Alpha must be a power of 4 above 1, got %v", alpha)
+	}
+	return nil
+}
+
 func (p ApproxParams) validate() error {
-	if p.Alpha <= 1 {
-		return fmt.Errorf("blocks: Alpha must exceed 1, got %v", p.Alpha)
+	if err := CheckAlpha(p.Alpha); err != nil {
+		return err
 	}
 	if p.Tag == "" {
 		return fmt.Errorf("blocks: ApproxParams requires a Tag")
@@ -77,11 +86,12 @@ func (p ApproxParams) validate() error {
 //  1. MSB round: every player sends the bit-length of its local degree
 //     d_j(v) (Θ(log log n) bits); their sum of powers of two d′ brackets
 //     deg(v) within a 2k factor.
-//  2. Guess halving: guesses d″ descend from d′ by factors of √α. Each
-//     round runs m shared-randomness sampling experiments — sample each
-//     potential neighbor with probability 1/d″, players answer one bit per
-//     experiment ("did my input hit the sample?") — and stops at the first
-//     guess whose OR-success count clears the threshold.
+//  2. Guess halving: guesses 2^j descend from 2^⌊log₂ d′⌋ by factors of
+//     √α = 2^s. Each round sends j and runs m shared-randomness sampling
+//     experiments — sample each potential neighbor with probability 2^-j,
+//     players answer one bit per experiment ("did my input hit the
+//     sample?") — and stops at the first guess whose OR-success count
+//     clears the threshold.
 //
 // Cost Θ(k·log log n + k·log k·m). Returns 0 if v is isolated.
 func ApproxDegree(ctx context.Context, c *comm.Coordinator, v int, prm ApproxParams) (float64, error) {
@@ -122,33 +132,35 @@ func approxCardinality(ctx context.Context, c *comm.Coordinator, mode countMode,
 	if dPrime == 0 {
 		return 0, nil
 	}
-	// dPrime/(2k) ≤ true ≤ dPrime. Descend by √α per round.
-	sqrtA := math.Sqrt(prm.Alpha)
-	rounds := int(math.Ceil(math.Log(2*float64(c.K)*prm.Alpha)/math.Log(sqrtA))) + 2
+	// d′/(2k) ≤ true < d′. The first guess 2^⌊log₂ d′⌋ exceeds d′/2 >
+	// true/2 ≥ true/√α, so it undershoots only inside the α-window.
+	step := math.Ilogb(prm.Alpha) / 2 // √α = 2^step
+	rounds := int(math.Ceil(math.Log2(2*float64(c.K)*prm.Alpha)/float64(step))) + 2
 	m := prm.experiments(rounds)
-	guess := dPrime
-	for r := 0; r < rounds && guess > 1; r++ {
-		succ, err := sampleRound(ctx, c, mode, v, prm.Tag, r, m, guess)
+	j := math.Ilogb(dPrime) // ⌊log₂ d′⌋
+	for r := 0; r < rounds && j > 0; r++ {
+		succ, err := sampleRound(ctx, c, mode, v, prm.Tag, r, m, j)
 		if err != nil {
 			return 0, err
 		}
-		// Expected success fraction if guess were exact.
+		// Expected success fraction if the guess were exact.
+		guess := math.Ldexp(1, j)
 		f := 1 - math.Pow(1-1/guess, guess)
 		if float64(succ) >= 0.6*f*float64(m) {
 			return guess, nil
 		}
-		guess /= sqrtA
+		j -= step
 	}
 	// Fell through the whole bracket: the count is at most ~√α, return the
 	// final guess without an experiment (as in the paper).
-	return guess, nil
+	return math.Ldexp(1, j), nil
 }
 
-// sampleRound runs one guessing round of m experiments and returns the
-// number of experiments in which at least one player's input intersected
-// the shared sample.
-func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int, tag string, round, m int, guess float64) (int, error) {
-	replies, err := c.AskAll(ctx, sampleTestRequest(mode, v, tag, round, m, guess))
+// sampleRound runs one guessing round of m experiments at guess 2^j and
+// returns the number of experiments in which at least one player's input
+// intersected the shared sample.
+func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int, tag string, round, m, j int) (int, error) {
+	replies, err := c.AskAll(ctx, sampleTestRequest(mode, v, tag, round, m, j))
 	if err != nil {
 		return 0, err
 	}
@@ -157,12 +169,12 @@ func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int
 	hit := make([]uint64, (m+63)/64)
 	for _, msg := range replies {
 		r := msg.Reader()
-		for j := range hit {
-			word, err := r.ReadUint(min(64, m-64*j))
+		for i := range hit {
+			word, err := r.ReadUint(min(64, m-64*i))
 			if err != nil {
 				return 0, err
 			}
-			hit[j] |= word
+			hit[i] |= word
 		}
 	}
 	succ := 0
@@ -173,20 +185,19 @@ func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int
 }
 
 // SampleTestRequest is the request ApproxDegree sends every player in
-// guessing round `round` for vertex v: m experiments at the given guess,
-// under the estimator's tag. Benchmarks hand it straight to Handle.
-func SampleTestRequest(v int, tag string, round, m int, guess float64) comm.Msg {
-	return sampleTestRequest(modeDegree, v, tag, round, m, guess)
+// guessing round `round` for vertex v: m experiments at guess 2^j, under
+// the estimator's tag. Benchmarks hand it straight to Handle.
+func SampleTestRequest(v int, tag string, round, m, j int) comm.Msg {
+	return sampleTestRequest(modeDegree, v, tag, round, m, j)
 }
 
-func sampleTestRequest(mode countMode, v int, tag string, round, m int, guess float64) comm.Msg {
+func sampleTestRequest(mode countMode, v int, tag string, round, m, j int) comm.Msg {
 	w := reqWriter(opSampleTest)
 	w.WriteUvarint(uint64(mode))
 	w.WriteUvarint(uint64(v))
 	w.WriteUvarint(uint64(round))
 	w.WriteUvarint(uint64(m))
-	// The guess must be bit-identical on all parties; ship its float bits.
-	w.WriteUint(math.Float64bits(guess), 64)
+	w.WriteGamma(uint64(j) + 1) // gamma codes start at 1
 	w.WriteBytes([]byte(tag))
 	return comm.FromWriter(w)
 }
@@ -218,56 +229,52 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	if m > maxExperiments {
 		return comm.Msg{}, fmt.Errorf("%w: %d experiments exceed %d", ErrBadRequest, m, maxExperiments)
 	}
-	guessBits, err := r.ReadUint(64)
+	jPlus1, err := r.ReadGamma()
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	guess := math.Float64frombits(guessBits)
-	if guess < 1 || math.IsNaN(guess) || math.IsInf(guess, 0) {
-		return comm.Msg{}, fmt.Errorf("%w: bad guess %v", ErrBadRequest, guess)
+	if jPlus1 > 64 {
+		return comm.Msg{}, fmt.Errorf("%w: guess exponent %d exceeds 63", ErrBadRequest, jPlus1-1)
 	}
+	j := int(jPlus1 - 1)
 	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	elems := localElements(p, mode, v)
-	threshold := xrand.Threshold(1 / guess)
-	// Experiment i's key is Shared.Key("approx/<tag>/<mode>/<v>/<round>")
-	// .Child(i): one SHA-256 per request, one splitmix step per experiment.
+	// One SHA-256 per request: base = Shared.Key("approx/<tag>/<mode>/<v>/<round>").
 	tagKey := append(append([]byte("approx/"), tagBytes...), '/')
 	tagKey = append(strconv.AppendUint(tagKey, uint64(mode), 10), '/')
 	tagKey = append(strconv.AppendInt(tagKey, int64(v), 10), '/')
 	tagKey = strconv.AppendUint(tagKey, round, 10)
 	base := p.Shared.Key(string(tagKey))
-	// The m experiments are independent — each derives its own key from
-	// base and scans the player's elements — so they fan across the
-	// player's workers 64 at a time. Word j holds experiments 64j… MSB
-	// first, exactly the reply's bit order, and each chunk writes only its
-	// own words, so the reply is identical at any width.
+	// Experiment 64w+b is bit 63−b of word w, the OR over local elements e
+	// of AND_{t<j} base.Child(64w+t).Hash(e): j fair coins, so e is sampled
+	// with probability exactly 2^-j, independently across elements and
+	// experiments, and every holder of e computes the same bits. An AND
+	// stops at zero, a word once full; the last word is cut to m−64w bits.
 	mi := int(m)
-	words := make([]uint64, (mi+63)/64)
-	done := parRegion(p)
-	parwork.ForEach(p.Workers, len(words), func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var word uint64
-			for i := 64 * j; i < min(64*j+64, mi); i++ {
-				key := base.Child(uint64(i))
-				hit := uint64(0)
-				for _, e := range elems {
-					if key.Below(e, threshold) {
-						hit = 1
-						break
-					}
-				}
-				word = word<<1 | hit
-			}
-			words[j] = word
-		}
-	})
-	done()
 	w := wire.NewWriter(mi)
-	for j, word := range words {
-		w.WriteUint(word, min(64, mi-64*j))
+	var keys [63]xrand.Key
+	for lo := 0; lo < mi; lo += 64 {
+		width := min(64, mi-lo)
+		full := ^uint64(0) << (64 - width)
+		for t := range keys[:j] {
+			keys[t] = base.Child(uint64(lo + t))
+		}
+		var word uint64
+		for _, e := range elems {
+			and := full
+			for _, key := range keys[:j] {
+				if and &= key.Hash(e); and == 0 {
+					break
+				}
+			}
+			if word |= and; word == full {
+				break
+			}
+		}
+		w.WriteUint(word>>(64-width), width)
 	}
 	return comm.FromWriter(w), nil
 }

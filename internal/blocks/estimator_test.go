@@ -12,6 +12,8 @@ import (
 	"tricomm/internal/partition"
 	"tricomm/internal/scenario"
 	"tricomm/internal/stats"
+	"tricomm/internal/wire"
+	"tricomm/internal/xrand"
 )
 
 // TestApproxDegreeGuarantee checks Theorem 3.1 as a property: with
@@ -82,4 +84,69 @@ func degreeSpread(g *graph.Graph, per int) []int {
 		}
 	}
 	return vs
+}
+
+// TestApproxDegreeGuaranteeRegistry is TestApproxDegreeGuarantee over
+// every registered scenario family at its defaults: the family's
+// prescribed players when it has them, otherwise Disjoint and
+// Duplicate{Q: 0.5} at k ∈ {2, 6}. The same Wilson rule applies to the
+// pooled estimates.
+func TestApproxDegreeGuaranteeRegistry(t *testing.T) {
+	prm := DefaultApprox("thm31")
+	var checked, within int
+	for i, name := range scenario.Names() {
+		sp, err := scenario.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := scenario.Build(sp, rand.New(rand.NewSource(int64(40+i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, vs := inst.G, degreeSpread(inst.G, 4)
+		shared := xrand.New(uint64(40 + i))
+		type split struct {
+			name   string
+			inputs [][]wire.Edge
+		}
+		splits := []split{{"prescribed", inst.Players}}
+		if inst.Players == nil {
+			splits = nil
+			for _, pt := range []partition.Partitioner{partition.Disjoint{}, partition.Duplicate{Q: 0.5}} {
+				for _, k := range []int{2, 6} {
+					splits = append(splits, split{fmt.Sprintf("%s, k=%d", pt.Name(), k), pt.Split(g, k, shared).Inputs})
+				}
+			}
+		}
+		for _, sp := range splits {
+			in := 0
+			_, err := comm.RunOn(context.Background(), newTop(t, g.N(), sp.inputs, shared), func(ctx context.Context, c *comm.Coordinator) error {
+				for _, v := range vs {
+					prm.Tag = fmt.Sprintf("thm31/%d", v)
+					est, err := ApproxDegree(ctx, c, v, prm)
+					if err != nil {
+						return err
+					}
+					if d := float64(g.Degree(v)); est >= d/prm.Alpha && est <= prm.Alpha*d {
+						in++
+					}
+				}
+				return nil
+			}, comm.ServeLoop(Handle))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, sp.name, err)
+			}
+			t.Logf("%s, %s: %d/%d within α", name, sp.name, in, len(vs))
+			checked += len(vs)
+			within += in
+		}
+	}
+	t.Logf("%d/%d within α", within, checked)
+	if _, hi := stats.Wilson(within, checked); hi < 1-prm.Tau {
+		t.Fatalf("%d/%d estimates within a factor α = %v: Wilson upper bound %.3f < 1−τ = %.2f",
+			within, checked, prm.Alpha, hi, 1-prm.Tau)
+	}
+	if checked < 100 {
+		t.Fatalf("only %d estimates checked", checked)
+	}
 }

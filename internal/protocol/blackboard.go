@@ -52,9 +52,9 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", comm.ErrCanceled, err)
 	}
-	t := u.Tunables
-	if t.CandidateFactor <= 0 || t.KeepFactor <= 0 || t.EdgeProbFactor <= 0 || t.DegreeAlpha <= 1 || t.CapSlack <= 0 {
-		t = DefaultUnrestrictedTunables()
+	t, err := u.Tunables.orDefault()
+	if err != nil {
+		return Result{}, err
 	}
 	players := comm.BoardPlayersOn(top)
 	board := comm.NewBoard(top.K())

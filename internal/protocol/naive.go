@@ -37,9 +37,9 @@ func (p NaiveUniform) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 	if p.Eps <= 0 || p.Eps > 1 {
 		return Result{}, fmt.Errorf("protocol: naive-uniform needs 0 < eps ≤ 1, got %v", p.Eps)
 	}
-	t := p.Tunables
-	if t.EdgeProbFactor <= 0 || t.DegreeAlpha <= 1 || t.CapSlack <= 0 || t.CandidateFactor <= 0 {
-		t = DefaultUnrestrictedTunables()
+	t, err := p.Tunables.orDefault()
+	if err != nil {
+		return Result{}, err
 	}
 	tag := p.Tag
 	if tag == "" {

@@ -335,6 +335,27 @@ func TestParamValidation(t *testing.T) {
 	if _, err := (SimOblivious{Eps: -1}).RunOn(ctx, top); err == nil {
 		t.Fatal("negative eps accepted by oblivious")
 	}
+	// ApproxDegree takes only α = 4^s; the three testers that share
+	// UnrestrictedTunables must refuse any other ratio before they talk.
+	for _, alpha := range []float64{0.5, 1, 2, 5} {
+		tun := UnrestrictedTunables{DegreeAlpha: alpha}
+		for _, p := range []Tester{
+			Unrestricted{Eps: 0.2, AvgDegree: 5, Tunables: tun},
+			UnrestrictedBlackboard{Eps: 0.2, AvgDegree: 5, Tunables: tun},
+			NaiveUniform{Eps: 0.2, Tunables: tun},
+		} {
+			res, err := p.RunOn(ctx, top)
+			if err == nil {
+				t.Fatalf("%s accepted DegreeAlpha %v", p.Name(), alpha)
+			}
+			if res.Stats.TotalBits != 0 {
+				t.Fatalf("%s spent %d bits before rejecting DegreeAlpha %v", p.Name(), res.Stats.TotalBits, alpha)
+			}
+		}
+	}
+	if _, err := (Unrestricted{Eps: 0.2, Tunables: UnrestrictedTunables{DegreeAlpha: 16}}).RunOn(ctx, top); err != nil {
+		t.Fatalf("DegreeAlpha 16 rejected: %v", err)
+	}
 }
 
 func TestEmptyGraph(t *testing.T) {

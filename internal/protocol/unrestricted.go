@@ -26,7 +26,8 @@ type UnrestrictedTunables struct {
 	// EdgeProbFactor scales the incident-edge sampling probability
 	// p = EdgeProbFactor · sqrt(ln n / (ε·d̂(v))) (Lemma 3.9 / Cor. 3.10).
 	EdgeProbFactor float64
-	// DegreeAlpha is the ApproxDegree approximation ratio (> 1).
+	// DegreeAlpha is the ApproxDegree approximation ratio: 4^s for an
+	// integer s ≥ 1 (see blocks.CheckAlpha).
 	DegreeAlpha float64
 	// CapSlack multiplies the per-player edge caps.
 	CapSlack float64
@@ -71,8 +72,9 @@ type Unrestricted struct {
 // Name identifies the protocol in logs.
 func (u Unrestricted) Name() string { return "unrestricted" }
 
-func (u Unrestricted) tunables() UnrestrictedTunables {
-	t := u.Tunables
+// orDefault fills every unset (non-positive) factor with its default and
+// rejects a DegreeAlpha that ApproxDegree would refuse, before any talk.
+func (t UnrestrictedTunables) orDefault() (UnrestrictedTunables, error) {
 	d := DefaultUnrestrictedTunables()
 	if t.CandidateFactor <= 0 {
 		t.CandidateFactor = d.CandidateFactor
@@ -83,13 +85,16 @@ func (u Unrestricted) tunables() UnrestrictedTunables {
 	if t.EdgeProbFactor <= 0 {
 		t.EdgeProbFactor = d.EdgeProbFactor
 	}
-	if t.DegreeAlpha <= 1 {
+	if t.DegreeAlpha <= 0 {
 		t.DegreeAlpha = d.DegreeAlpha
 	}
 	if t.CapSlack <= 0 {
 		t.CapSlack = d.CapSlack
 	}
-	return t
+	if err := blocks.CheckAlpha(t.DegreeAlpha); err != nil {
+		return t, fmt.Errorf("protocol: DegreeAlpha: %w", err)
+	}
+	return t, nil
 }
 
 // RunOn executes the tester in the coordinator model, reusing top's cached
@@ -98,9 +103,13 @@ func (u Unrestricted) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 	if u.Eps <= 0 || u.Eps > 1 {
 		return Result{}, fmt.Errorf("protocol: unrestricted needs 0 < eps ≤ 1, got %v", u.Eps)
 	}
+	t, err := u.Tunables.orDefault()
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{Verdict: TriangleFree}
 	coord := func(ctx context.Context, c *comm.Coordinator) error {
-		r, err := u.runCoordinator(ctx, c)
+		r, err := u.runCoordinator(ctx, c, t)
 		if err != nil {
 			return err
 		}
@@ -117,8 +126,7 @@ func (u Unrestricted) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 	return res, nil
 }
 
-func (u Unrestricted) runCoordinator(ctx context.Context, c *comm.Coordinator) (Result, error) {
-	t := u.tunables()
+func (u Unrestricted) runCoordinator(ctx context.Context, c *comm.Coordinator, t UnrestrictedTunables) (Result, error) {
 	res := Result{Verdict: TriangleFree}
 	n := c.N
 	lnN := math.Log(float64(n))

@@ -98,10 +98,14 @@ func Quantile(xs []float64, q float64) float64 {
 // Wilson returns the Wilson-score 95% confidence interval for a binomial
 // proportion with successes out of trials.
 func Wilson(successes, trials int) (lo, hi float64) {
+	return WilsonZ(successes, trials, 1.96)
+}
+
+// WilsonZ is Wilson at the confidence of normal quantile z (3.29: 99.9%).
+func WilsonZ(successes, trials int, z float64) (lo, hi float64) {
 	if trials == 0 {
 		return 0, 1
 	}
-	const z = 1.96
 	p := float64(successes) / float64(trials)
 	n := float64(trials)
 	denom := 1 + z*z/n

@@ -342,10 +342,12 @@ func (c *faultyConn) Send(ctx context.Context, f Frame) error {
 		return err
 	}
 	if dup < c.spec.Duplicate {
-		if err := c.send(ctx, f); err != nil {
-			return err
-		}
+		// Counted up front, as a drop is: the peer already has the frame
+		// and may close before the copy lands, so delivery is best effort.
+		c.out.bytes.Add(int64(FrameSize(f.Bits)))
+		c.out.frames.Add(1)
 		countFault("duplicate")
+		_ = c.inner.Send(ctx, f)
 	}
 	return nil
 }

@@ -161,6 +161,45 @@ func TestFaultyCorrupt(t *testing.T) {
 	}
 }
 
+// sendLimitConn passes its first ok Sends to the wrapped Conn and fails
+// every later one with ErrClosed, as a peer that closed would.
+type sendLimitConn struct {
+	Conn
+	ok int
+}
+
+func (c *sendLimitConn) Send(ctx context.Context, f Frame) error {
+	if c.ok == 0 {
+		return ErrClosed
+	}
+	c.ok--
+	return c.Conn.Send(ctx, f)
+}
+
+// TestFaultyDuplicate pins duplicate accounting: an injected copy is
+// counted when the schedule injects it, before it is sent, and a failed
+// send of the copy (the peer may close once it has the original) is not
+// the sender's error.
+func TestFaultyDuplicate(t *testing.T) {
+	links, err := Chan{Buf: 8}.Dial(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeLinks(links)
+	l := Faulty{Spec: FaultSpec{Seed: 5, Duplicate: 1}}.newLink(0, Link{A: &sendLimitConn{Conn: links[0].A, ok: 1}, B: links[0].B})
+	dups := mFaults.With("duplicate")
+	before := dups.Value()
+	if err := l.A.Send(context.Background(), frame(64, 0x3c)); err != nil {
+		t.Fatalf("send whose duplicate could not be delivered: %v, want nil", err)
+	}
+	if st := l.A.Stats(); st.FramesOut != 2 || st.BytesOut != 2*int64(FrameSize(64)) {
+		t.Fatalf("original and duplicate must both be counted: %+v", st)
+	}
+	if got := dups.Value() - before; got != 1 {
+		t.Fatalf("recorded %v duplicate faults, want 1", got)
+	}
+}
+
 // TestFaultyDisconnect pins hard-disconnect semantics: the first
 // transmission kills the link, both endpoints observe ErrAborted from then
 // on, and a Recv blocked at disconnect time is unblocked.

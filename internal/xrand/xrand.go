@@ -13,23 +13,22 @@
 // A key is the first 8 bytes, read little-endian, of
 // SHA-256(seed‖0x02‖tag), where seed is the 32-byte root New hashes from
 // the 64-bit seed. Keys of many sub-experiments come from one such key by
-// Key.Child, one splitmix64 step each: the degree estimator's experiment i
-// in a guessing round uses Shared.Key("approx/<tag>/<mode>/<v>/<round>")
-// .Child(i), so a round costs one SHA-256 however many experiments it runs.
+// Key.Child, one splitmix64 step each: the degree estimator's word w of
+// experiments hashes under Shared.Key("approx/<tag>/<mode>/<v>/<round>")
+// .Child(64w+t), t < j, so a round costs one SHA-256 however many it runs.
 //
 // Point queries are O(1): Key.Rank gives each element a pseudo-random rank
 // inducing a uniform permutation, and Key.Bernoulli answers "is element x in
 // the p-sample?" without materializing the sample. Both are what the
 // protocols need — e.g. SampleUniformFromB̃ᵢ only compares ranks of vertices
-// each player locally knows. Key.Below with Threshold(p) gives exactly
-// Bernoulli's answers by one integer comparison: Uniform01 is u·2⁻⁵³ for an
-// integer u, and p·2⁵³ is exact, so u·2⁻⁵³ < p exactly when u < ⌈p·2⁵³⌉.
+// each player locally knows. At p = 2^-j, bit b of the AND of j Hash words
+// under distinct keys is j fair coins, set with probability exactly 2^-j
+// independently across bits and elements (Knuth & Yao, 1976).
 package xrand
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"math/rand"
 )
 
@@ -138,27 +137,6 @@ func (k Key) Bernoulli(x uint64, p float64) bool {
 	}
 	return k.Uniform01(x) < p
 }
-
-// Threshold returns the integer form of the sampling probability p for
-// Below: Below(x, Threshold(p)) == Bernoulli(x, p) for every key, x and p.
-// It is 0 for p ≤ 0 or NaN and 2⁵³ for p ≥ 1. Otherwise it is ⌈p·2⁵³⌉:
-// Uniform01 is exactly u·2⁻⁵³ for the integer u = Hash(x)>>11 < 2⁵³, and
-// p·2⁵³ is exact (a power-of-two scaling of a float in (0,1)), so
-// u·2⁻⁵³ < p holds exactly when u < ⌈p·2⁵³⌉.
-func Threshold(p float64) uint64 {
-	switch {
-	case !(p > 0):
-		return 0
-	case p >= 1:
-		return 1 << 53
-	}
-	return uint64(math.Ceil(p * (1 << 53)))
-}
-
-// Below reports whether element x falls in the sample of threshold t, the
-// integer form of Bernoulli for loops that test one probability many
-// times: it skips the int→float conversion.
-func (k Key) Below(x, t uint64) bool { return k.Hash(x)>>11 < t }
 
 // MinRank returns the element of elems with the smallest rank under the
 // key, or (-1, false) if elems is empty. This is the shared-permutation

@@ -45,50 +45,6 @@ func TestSeedSeparation(t *testing.T) {
 	}
 }
 
-// TestThresholdMatchesBernoulli pins Below(x, Threshold(p)) to
-// Bernoulli(x, p) at the edges of the probability range, the smallest
-// subnormal and the largest float below 1 included, and at the 1/guess
-// probabilities of the degree estimator's descending guesses.
-func TestThresholdMatchesBernoulli(t *testing.T) {
-	ps := []float64{
-		0, math.Copysign(0, -1), -0.5, math.NaN(), math.Inf(1), math.Inf(-1), 1, 1.5,
-		5e-324, 1e-300, 1 - 0x1p-53, math.Nextafter(1, 0), 0x1p-53, 0.5, 1.0 / 3,
-	}
-	for g := 1.0; g < 1e7; g *= 1.0905 {
-		ps = append(ps, 1/g, 1/math.Nextafter(g, 0))
-	}
-	for seed := uint64(0); seed < 8; seed++ {
-		k := New(seed).Key("threshold")
-		for _, p := range ps {
-			th := Threshold(p)
-			for x := uint64(0); x < 200; x++ {
-				if got, want := k.Below(x, th), k.Bernoulli(x, p); got != want {
-					t.Fatalf("seed %d, p=%v, x=%d: Below %v, Bernoulli %v", seed, p, x, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestThresholdBoundary checks Below on both sides of a threshold, with
-// elements whose uniform value lies exactly at, just below and just above
-// p: the hash values are found by search, not sampled.
-func TestThresholdBoundary(t *testing.T) {
-	k := New(4).Key("boundary")
-	for x := uint64(0); x < 1000; x++ {
-		u := k.Hash(x) >> 11
-		for _, p := range []float64{
-			float64(u) / (1 << 53),                // Uniform01(x) == p: not below
-			float64(u+1) / (1 << 53),              // just above: below
-			math.Nextafter(float64(u)/(1<<53), 2), // between u and u+1: below
-		} {
-			if got, want := k.Below(x, Threshold(p)), k.Bernoulli(x, p); got != want {
-				t.Fatalf("x=%d, u=%d, p=%v: Below %v, Bernoulli %v", x, u, p, got, want)
-			}
-		}
-	}
-}
-
 func TestChild(t *testing.T) {
 	for _, tag := range []string{"a", "approx/t/1/2/3", ""} {
 		base := New(9).Key(tag)
