@@ -8,28 +8,6 @@ import (
 	"tricomm/internal/wire"
 )
 
-// Additional opcodes for the traversal/exact-counting blocks. They live in
-// their own block to keep blocks.go's core dispatch table stable.
-const (
-	opNeighbors uint64 = 100 + iota
-	opNeighborBitmap
-)
-
-// handleExtra dispatches the opcodes of this file; it is called from
-// Handle's default branch.
-func handleExtra(p *comm.Player, op uint64, r *wire.Reader) (comm.Msg, bool, error) {
-	switch op {
-	case opNeighbors:
-		m, err := handleNeighbors(p, r)
-		return m, true, err
-	case opNeighborBitmap:
-		m, err := handleNeighborBitmap(p, r)
-		return m, true, err
-	default:
-		return comm.Msg{}, false, nil
-	}
-}
-
 // Neighbors collects the exact neighbor set of v across all players —
 // the primitive behind the §3.1 BFS implementation ("have all players
 // post all the neighbors of the currently examined vertex"). Cost

@@ -21,19 +21,26 @@ import (
 )
 
 // Opcodes for the player-side dispatcher. Start at 1 so that a zero
-// opcode is always invalid.
+// opcode is always invalid. Retired opcodes stay as blanks so that every
+// other opcode keeps its value, and with it every transcript.
 const (
 	opEdgeQuery uint64 = iota + 1
 	opMinRankIncident
-	opMinRankEdge
+	_ // 3: retired (min-rank edge)
 	opCountMSB
 	opSampleTest
 	opCountTopBits
-	opCollectInduced
-	opCollectCross
+	_ // 7: retired (collect induced)
+	_ // 8: retired (collect cross)
 	opCollectIncidentSample
 	opCloseVees
 	opCandidateMinRank
+)
+
+// Opcodes of the traversal and exact-counting blocks (bfs.go).
+const (
+	opNeighbors uint64 = 100 + iota
+	opNeighborBitmap
 )
 
 // ErrBadRequest indicates a malformed request reaching a player.
@@ -53,28 +60,23 @@ func Handle(p *comm.Player, req comm.Msg) (comm.Msg, error) {
 		return handleEdgeQuery(p, r)
 	case opMinRankIncident:
 		return handleMinRankIncident(p, r)
-	case opMinRankEdge:
-		return handleMinRankEdge(p, r)
 	case opCountMSB:
 		return handleCountMSB(p, r)
 	case opSampleTest:
 		return handleSampleTest(p, r)
 	case opCountTopBits:
 		return handleCountTopBits(p, r)
-	case opCollectInduced:
-		return handleCollectInduced(p, r)
-	case opCollectCross:
-		return handleCollectCross(p, r)
 	case opCollectIncidentSample:
 		return handleCollectIncidentSample(p, r)
 	case opCloseVees:
 		return handleCloseVees(p, r)
 	case opCandidateMinRank:
 		return handleCandidateMinRank(p, r)
+	case opNeighbors:
+		return handleNeighbors(p, r)
+	case opNeighborBitmap:
+		return handleNeighborBitmap(p, r)
 	default:
-		if m, ok, err := handleExtra(p, op, r); ok {
-			return m, err
-		}
 		return comm.Msg{}, fmt.Errorf("%w: unknown opcode %d", ErrBadRequest, op)
 	}
 }
@@ -113,23 +115,20 @@ const (
 // localElements enumerates the player's elements of the given universe:
 // neighbor ids of v for modeDegree, canonical edge keys for modeEdges.
 // The returned values are universe-unique ids shared across players.
+// readModeVertex admits no other mode.
 func localElements(p *comm.Player, mode countMode, v int) []uint64 {
-	switch mode {
-	case modeDegree:
+	if mode == modeDegree {
 		nbrs := p.View.Neighbors(v)
 		out := make([]uint64, len(nbrs))
 		for i, u := range nbrs {
 			out[i] = uint64(u)
 		}
 		return out
-	case modeEdges:
-		out := make([]uint64, 0, len(p.Edges))
-		for _, e := range p.Edges {
-			ec := e.Canon()
-			out = append(out, uint64(ec.U)*uint64(p.N)+uint64(ec.V))
-		}
-		return out
-	default:
-		return nil
 	}
+	out := make([]uint64, 0, len(p.Edges))
+	for _, e := range p.Edges {
+		ec := e.Canon()
+		out = append(out, uint64(ec.U)*uint64(p.N)+uint64(ec.V))
+	}
+	return out
 }

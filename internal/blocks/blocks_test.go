@@ -147,51 +147,6 @@ func TestRandomWalk(t *testing.T) {
 	})
 }
 
-func TestUniformEdgeDistribution(t *testing.T) {
-	g := graph.Complete(5) // 10 edges
-	const trials = 3000
-	counts := map[wire.Edge]int{}
-	runCoord(t, g, partition.Duplicate{Q: 0.7}, 3, 7, func(ctx context.Context, c *comm.Coordinator) error {
-		for i := 0; i < trials; i++ {
-			e, ok, err := UniformEdge(ctx, c, fmt.Sprintf("e%d", i))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("no edge found")
-			}
-			if !g.HasEdge(e.U, e.V) {
-				return fmt.Errorf("phantom edge %v", e)
-			}
-			counts[e.Canon()]++
-		}
-		return nil
-	})
-	want := float64(trials) / 10
-	for e, cnt := range counts {
-		if math.Abs(float64(cnt)-want) > 6*math.Sqrt(want) {
-			t.Errorf("edge %v sampled %d times, want ~%v", e, cnt, want)
-		}
-	}
-	if len(counts) != 10 {
-		t.Errorf("only %d distinct edges sampled", len(counts))
-	}
-}
-
-func TestUniformEdgeEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(6).Build()
-	runCoord(t, g, partition.Disjoint{}, 3, 8, func(ctx context.Context, c *comm.Coordinator) error {
-		_, ok, err := UniformEdge(ctx, c, "none")
-		if err != nil {
-			return err
-		}
-		if ok {
-			return fmt.Errorf("edge found in empty graph")
-		}
-		return nil
-	})
-}
-
 func TestApproxDegreeWithinFactor(t *testing.T) {
 	// Degrees across scales; heavy duplication. The estimator promises a
 	// 4-approximation w.p. ≥ 1-τ per call; we run many calls and allow a
@@ -304,109 +259,15 @@ func TestApproxDistinctEdges(t *testing.T) {
 	}
 }
 
-func TestCollectInducedShared(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	g := graph.ErdosRenyi(60, 0.3, rng)
-	shared := xrand.New(16)
-	p := partition.Duplicate{Q: 0.3}.Split(g, 4, shared)
-	const prob = 0.4
-	var got []wire.Edge
-	_, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared),
-		func(ctx context.Context, c *comm.Coordinator) error {
-			es, err := CollectInducedShared(ctx, c, "ind", prob, 0)
-			if err != nil {
-				return err
-			}
-			got = es
-			return nil
-		}, comm.ServeLoop(Handle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expected: exactly the edges with both endpoints in the shared sample.
-	key := shared.Key("vsample/ind")
-	want := map[wire.Edge]bool{}
-	g.VisitEdges(func(e wire.Edge) bool {
-		if key.Bernoulli(uint64(e.U), prob) && key.Bernoulli(uint64(e.V), prob) {
-			want[e] = true
-		}
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("collected %d edges, want %d", len(got), len(want))
-	}
-	for _, e := range got {
-		if !want[e] {
-			t.Fatalf("unexpected edge %v", e)
-		}
-	}
-}
-
-func TestCollectInducedCap(t *testing.T) {
-	g := graph.Complete(20)
-	shared := xrand.New(17)
-	p := partition.All{}.Split(g, 3, shared)
-	_, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared),
-		func(ctx context.Context, c *comm.Coordinator) error {
-			es, err := CollectInducedShared(ctx, c, "cap", 1.0, 5)
-			if err != nil {
-				return err
-			}
-			// 3 players × cap 5 = at most 15 distinct edges.
-			if len(es) > 15 {
-				return fmt.Errorf("cap not enforced: %d edges", len(es))
-			}
-			return nil
-		}, comm.ServeLoop(Handle))
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCollectCrossShared(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	g := graph.ErdosRenyi(80, 0.2, rng)
-	shared := xrand.New(18)
-	p := partition.Disjoint{}.Split(g, 4, shared)
-	const pR, pS = 0.3, 0.5
-	var got []wire.Edge
-	_, err := comm.RunOn(context.Background(), newTop(t, g.N(), p.Inputs, shared),
-		func(ctx context.Context, c *comm.Coordinator) error {
-			es, err := CollectCrossShared(ctx, c, "R", "S", pR, pS, 0)
-			if err != nil {
-				return err
-			}
-			got = es
-			return nil
-		}, comm.ServeLoop(Handle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyR := shared.Key("vsample/R")
-	keyS := shared.Key("vsample/S")
-	want := map[wire.Edge]bool{}
-	for _, e := range CrossSampleEdges(g.Edges(), keyR, keyS, pR, pS) {
-		want[e.Canon()] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("collected %d, want %d", len(got), len(want))
-	}
-	for _, e := range got {
-		if !want[e.Canon()] {
-			t.Fatalf("unexpected edge %v", e)
-		}
-	}
-}
-
 func TestCrossSampleEdgesFilter(t *testing.T) {
 	keyR := xrand.New(1).Key("r")
 	keyS := xrand.New(1).Key("s")
 	edges := []wire.Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}}
-	out := CrossSampleEdges(edges, keyR, keyS, 1.0, 0.0)
+	out := CrossSampleEdgesN(edges, keyR, keyS, 1.0, 0.0, 1)
 	if len(out) != 3 {
 		t.Fatalf("pR=1 should keep all edges, kept %d", len(out))
 	}
-	out = CrossSampleEdges(edges, keyR, keyS, 0.0, 1.0)
+	out = CrossSampleEdgesN(edges, keyR, keyS, 0.0, 1.0, 1)
 	if len(out) != 0 {
 		t.Fatalf("pR=0 should drop all edges, kept %d", len(out))
 	}
@@ -518,7 +379,10 @@ func TestHandleRejectsGarbage(t *testing.T) {
 		func(ctx context.Context, c *comm.Coordinator) error {
 			var w wire.Writer
 			w.WriteUvarint(9999) // unknown opcode
-			_, err := c.Ask(ctx, 0, comm.FromWriter(&w))
+			if err := c.Send(ctx, 0, comm.FromWriter(&w)); err != nil {
+				return err
+			}
+			_, err := c.Recv(ctx, 0)
 			return err
 		}, comm.ServeLoop(Handle))
 	if err == nil {

@@ -13,113 +13,12 @@ import (
 	"tricomm/internal/xrand"
 )
 
-// CollectInducedShared gathers the subgraph induced by the shared
-// Bernoulli(p) vertex sample S(tag): every player sends its edges with
-// both endpoints in S, truncated to capPerPlayer edges if positive (the
-// paper's message caps). S itself costs no communication — it is a pure
-// function of the shared randomness. Cost Θ(k·|answer|·log n) up.
-func CollectInducedShared(ctx context.Context, c *comm.Coordinator, tag string, p float64, capPerPlayer int) ([]wire.Edge, error) {
-	w := reqWriter(opCollectInduced)
-	w.WriteUint(floatBits(p), 64)
-	w.WriteUvarint(uint64(capAsU64(capPerPlayer)))
-	w.WriteBytes([]byte(tag))
-	replies, err := c.AskAll(ctx, comm.FromWriter(w))
-	if err != nil {
-		return nil, err
-	}
-	return decodeEdgeUnion(c.N, replies)
-}
-
-func handleCollectInduced(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	prob, cap64, tag, err := readProbCapTag(r)
-	if err != nil {
-		return comm.Msg{}, err
-	}
-	key := p.Shared.Key("vsample/" + tag)
-	// Bernoulli is a pure point query of the shared key, so the filter can
-	// fan across workers; parwork.Filter preserves input order, which makes
-	// the kept set (and the truncation below) bit-identical to the serial
-	// append loop at any width.
-	done := parRegion(p)
-	out := parwork.Filter(p.Workers, p.Edges, func(_ int, e wire.Edge) bool {
-		return key.Bernoulli(uint64(e.U), prob) && key.Bernoulli(uint64(e.V), prob)
-	})
-	done()
-	out = truncate(out, cap64)
-	var w wire.Writer
-	if err := wire.NewEdgeCodec(p.N).PutEdgeList(&w, out); err != nil {
-		return comm.Msg{}, err
-	}
-	return comm.FromWriter(&w), nil
-}
-
-// CollectCrossShared gathers all edges with one endpoint in the shared
-// sample R(tagR, pR) and the other in R ∪ S(tagS, pS) — the edge set of
-// the low-degree simultaneous tester (Algorithm 8), exposed here for
-// interactive use as well.
-func CollectCrossShared(ctx context.Context, c *comm.Coordinator, tagR, tagS string, pR, pS float64, capPerPlayer int) ([]wire.Edge, error) {
-	w := reqWriter(opCollectCross)
-	w.WriteUint(floatBits(pR), 64)
-	w.WriteUint(floatBits(pS), 64)
-	w.WriteUvarint(uint64(capAsU64(capPerPlayer)))
-	w.WriteUvarint(uint64(len(tagR)))
-	w.WriteBytes([]byte(tagR))
-	w.WriteBytes([]byte(tagS))
-	replies, err := c.AskAll(ctx, comm.FromWriter(w))
-	if err != nil {
-		return nil, err
-	}
-	return decodeEdgeUnion(c.N, replies)
-}
-
-func handleCollectCross(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	pR, err := readFloat(r)
-	if err != nil {
-		return comm.Msg{}, err
-	}
-	pS, err := readFloat(r)
-	if err != nil {
-		return comm.Msg{}, err
-	}
-	cap64, err := r.ReadUvarint()
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	lenR, err := r.ReadUvarint()
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	tagRBytes, err := r.ReadBytes(int(lenR))
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	tagSBytes, err := r.ReadBytes(r.Remaining() / 8)
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	done := parRegion(p)
-	out := CrossSampleEdgesN(p.Edges, p.Shared.Key("vsample/"+string(tagRBytes)),
-		p.Shared.Key("vsample/"+string(tagSBytes)), pR, pS, p.Workers)
-	done()
-	out = truncate(out, cap64)
-	var w wire.Writer
-	if err := wire.NewEdgeCodec(p.N).PutEdgeList(&w, out); err != nil {
-		return comm.Msg{}, err
-	}
-	return comm.FromWriter(&w), nil
-}
-
-// CrossSampleEdges filters edges to those with one endpoint in the
-// Bernoulli sample R = keyR(pR) and the other in R ∪ S, S = keyS(pS).
-// Exported for reuse by the simultaneous protocols, which apply the same
-// filter player-side.
-func CrossSampleEdges(edges []wire.Edge, keyR, keyS xrand.Key, pR, pS float64) []wire.Edge {
-	return CrossSampleEdgesN(edges, keyR, keyS, pR, pS, 1)
-}
-
-// CrossSampleEdgesN is CrossSampleEdges fanned across up to workers
-// goroutines. Both membership tests are pure point queries of shared
-// keys and the filter preserves input order, so the output is
+// CrossSampleEdgesN filters edges to those with one endpoint in the
+// Bernoulli sample R = keyR(pR) and the other in R ∪ S, S = keyS(pS),
+// the edge set of the low-degree simultaneous tester (Algorithm 8); the
+// simultaneous protocols apply it player-side. It fans across up to
+// workers goroutines. Both membership tests are pure point queries of
+// shared keys and the filter preserves input order, so the output is
 // bit-identical to the serial loop at any width.
 func CrossSampleEdgesN(edges []wire.Edge, keyR, keyS xrand.Key, pR, pS float64, workers int) []wire.Edge {
 	inR := func(v int) bool { return keyR.Bernoulli(uint64(v), pR) }
@@ -358,51 +257,9 @@ func readFloat(r *wire.Reader) (float64, error) {
 	return math.Float64frombits(b), nil
 }
 
-func readProbCapTag(r *wire.Reader) (prob float64, cap64 uint64, tag string, err error) {
-	prob, err = readFloat(r)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	cap64, err = r.ReadUvarint()
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return prob, cap64, string(tagBytes), nil
-}
-
 func capAsU64(c int) uint64 {
 	if c <= 0 {
 		return 0
 	}
 	return uint64(c)
-}
-
-func truncate(edges []wire.Edge, cap64 uint64) []wire.Edge {
-	if cap64 > 0 && uint64(len(edges)) > cap64 {
-		return edges[:cap64]
-	}
-	return edges
-}
-
-func decodeEdgeUnion(n int, replies []comm.Msg) ([]wire.Edge, error) {
-	ec := wire.NewEdgeCodec(n)
-	seen := map[wire.Edge]bool{}
-	var out []wire.Edge
-	for _, m := range replies {
-		es, err := ec.GetEdgeList(m.Reader())
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range es {
-			if !seen[e] {
-				seen[e] = true
-				out = append(out, e)
-			}
-		}
-	}
-	return out, nil
 }

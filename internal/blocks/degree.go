@@ -279,21 +279,26 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	return comm.FromWriter(w), nil
 }
 
-// readModeVertex decodes a count request's universe and vertex; degree
-// mode requires the vertex to lie in [0, n).
+// readModeVertex decodes a count request's universe and vertex. The
+// universe must be modeDegree or modeEdges, and degree mode requires the
+// vertex to lie in [0, n).
 func readModeVertex(r *wire.Reader, n int) (countMode, int, error) {
 	modeU, err := r.ReadUvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	mode := countMode(modeU)
+	if mode != modeDegree && mode != modeEdges {
+		return 0, 0, fmt.Errorf("%w: unknown count mode %d", ErrBadRequest, modeU)
+	}
 	v, err := r.ReadUvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if countMode(modeU) == modeDegree && v >= uint64(n) {
+	if mode == modeDegree && v >= uint64(n) {
 		return 0, 0, fmt.Errorf("%w: vertex %d not in [0,%d)", ErrBadRequest, v, n)
 	}
-	return countMode(modeU), int(v), nil
+	return mode, int(v), nil
 }
 
 // ApproxDegreeNoDup estimates deg(v) when the players' inputs are promised

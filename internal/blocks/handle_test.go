@@ -51,12 +51,9 @@ func validRequests() []*wire.Writer {
 	return []*wire.Writer{
 		request(opEdgeQuery, vertex(0), vertex(1)),
 		request(opMinRankIncident, vertex(2), tag("t")),
-		request(opMinRankEdge, tag("t")),
 		request(opCountMSB, uv(uint64(modeDegree)), uv(2)),
 		request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(16), exponent(1), tag("t")),
 		request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(3)),
-		request(opCollectInduced, float(0.5), uv(0), tag("t")),
-		request(opCollectCross, float(0.5), float(0.5), uv(0), uv(1), tag("r"), tag("s")),
 		request(opCollectIncidentSample, vertex(2), float(0.5), uv(0), tag("t")),
 		request(opCloseVees, vertex(2), uv(3), vertex(0), vertex(1), vertex(3)),
 		request(opCandidateMinRank, uv(1), tag("t")),
@@ -78,6 +75,11 @@ var hostileRequests = []struct {
 	{"sample-test exponent above 63", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(16), exponent(64), tag("t"))},
 	{"top bits ≥ 2^63", request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(1<<63))},
 	{"bucket index 2^40", request(opCandidateMinRank, uv(1<<40), tag("t"))},
+	{"unknown count mode", request(opSampleTest, uv(3), uv(2), uv(0), uv(16), exponent(1), tag("t"))},
+	// No coordinator sends the retired opcodes; each carries its old body.
+	{"retired opcode 3", request(3, tag("t"))},
+	{"retired opcode 7", request(7, float(0.5), uv(0), tag("t"))},
+	{"retired opcode 8", request(8, float(0.5), float(0.5), uv(0), uv(1), tag("r"), tag("s"))},
 }
 
 func TestHandleRejectsHostileFields(t *testing.T) {

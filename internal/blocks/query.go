@@ -140,67 +140,3 @@ func RandomWalk(ctx context.Context, c *comm.Coordinator, start, steps int, tag 
 	}
 	return path, nil
 }
-
-// UniformEdge implements "uniform random edge of the whole graph" — the
-// primitive the query model lacks. A shared random order ranks all
-// potential edges; each player reports its minimum and the coordinator
-// takes the global minimum, which is uniform over E regardless of
-// duplication. Returns ok=false for an empty graph. Cost Θ(k·log n).
-func UniformEdge(ctx context.Context, c *comm.Coordinator, tag string) (wire.Edge, bool, error) {
-	w := reqWriter(opMinRankEdge)
-	w.WriteBytes([]byte(tag))
-	replies, err := c.AskAll(ctx, comm.FromWriter(w))
-	if err != nil {
-		return wire.Edge{}, false, err
-	}
-	key := c.Shared.Key("edge/" + tag)
-	ec := wire.NewEdgeCodec(c.N)
-	var best wire.Edge
-	found := false
-	for _, m := range replies {
-		r := m.Reader()
-		has, err := r.ReadBool()
-		if err != nil {
-			return wire.Edge{}, false, err
-		}
-		if !has {
-			continue
-		}
-		e, err := ec.Get(r)
-		if err != nil {
-			return wire.Edge{}, false, err
-		}
-		if !found || key.Before(edgeKeyU64(c.N, e), edgeKeyU64(c.N, best)) {
-			best, found = e, true
-		}
-	}
-	return best, found, nil
-}
-
-func edgeKeyU64(n int, e wire.Edge) uint64 {
-	ec := e.Canon()
-	return uint64(ec.U)*uint64(n) + uint64(ec.V)
-}
-
-func handleMinRankEdge(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	key := p.Shared.Key("edge/" + string(tagBytes))
-	var best wire.Edge
-	found := false
-	for _, e := range p.Edges {
-		if !found || key.Before(edgeKeyU64(p.N, e), edgeKeyU64(p.N, best)) {
-			best, found = e.Canon(), true
-		}
-	}
-	var w wire.Writer
-	w.WriteBool(found)
-	if found {
-		if err := wire.NewEdgeCodec(p.N).Put(&w, best); err != nil {
-			return comm.Msg{}, err
-		}
-	}
-	return comm.FromWriter(&w), nil
-}

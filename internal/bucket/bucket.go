@@ -7,10 +7,11 @@
 // many pairwise-disjoint triangle-vees — and inside it for *full* vertices,
 // whose incident edges are rich in disjoint vees (Definitions 4 and 5).
 //
-// The package provides both the exact analysis view (used by the protocol's
-// correctness tests and by experiment reports) and the player-local
-// candidate sets B̃ᵢʲ = {v : d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ)} that the protocol
-// actually samples from (§3.3), since no single player knows true degrees.
+// The package provides the player-local candidate sets
+// B̃ᵢʲ = {v : d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ)} that the protocol actually
+// samples from (§3.3), since no single player knows true degrees. The
+// exact analysis view (Definitions 4 and 5) lives with the tests that
+// check the protocol against it.
 package bucket
 
 import (
@@ -68,18 +69,6 @@ func pow3(i int) int {
 	return v
 }
 
-// Partition groups the vertices of g by bucket index. The returned slice
-// has NumBuckets(g.N()) entries; entry i lists the vertices of Bᵢ in
-// ascending order.
-func Partition(g *graph.Graph) [][]int {
-	out := make([][]int, NumBuckets(g.N()))
-	for v := 0; v < g.N(); v++ {
-		i := Index(g.Degree(v))
-		out[i] = append(out[i], v)
-	}
-	return out
-}
-
 // logN returns log₂ n clamped below at 1, the paper's "log n" normalizer.
 func logN(n int) float64 {
 	l := math.Log2(float64(n))
@@ -87,56 +76,6 @@ func logN(n int) float64 {
 		return 1
 	}
 	return l
-}
-
-// IsFullVertex reports whether v is full in g for farness parameter eps
-// (Definition 5): at least an eps/(12·log n) fraction of its incident
-// edges form a set of disjoint triangle-vees. The disjoint-vee family is
-// the greedy maximal matching computed by graph.DisjointVeesAt; each vee
-// accounts for two incident edges.
-func IsFullVertex(g *graph.Graph, v int, eps float64) bool {
-	d := g.Degree(v)
-	if d == 0 {
-		return false
-	}
-	vees := g.DisjointVeeCountAt(v)
-	return float64(2*vees) >= eps/(12*logN(g.N()))*float64(d)
-}
-
-// FullVertices returns the set of full vertices of g (Definition 5).
-func FullVertices(g *graph.Graph, eps float64) []int {
-	var out []int
-	for v := 0; v < g.N(); v++ {
-		if IsFullVertex(g, v, eps) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// VeeMass returns, per bucket, the total number of disjoint triangle-vees
-// sourced at the bucket's vertices (the quantity Definition 4 thresholds).
-func VeeMass(g *graph.Graph) []float64 {
-	counts := g.DisjointVeeCount()
-	out := make([]float64, NumBuckets(g.N()))
-	for v, c := range counts {
-		out[Index(g.Degree(v))] += float64(c)
-	}
-	return out
-}
-
-// FullBuckets returns the indices of the full buckets of g (Definition 4):
-// buckets whose vertices source at least eps·n·d/(2·log n) disjoint
-// triangle-vees, where d is the average degree.
-func FullBuckets(g *graph.Graph, eps float64) []int {
-	threshold := eps * float64(g.N()) * g.AvgDegree() / (2 * logN(g.N()))
-	var out []int
-	for i, mass := range VeeMass(g) {
-		if mass >= threshold && mass > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // DegreeWindow returns the degree range [dl, dh] the unrestricted protocol
@@ -164,27 +103,6 @@ func BucketRange(n int, dl, dh float64) (lo, hi int) {
 		lo = hi
 	}
 	return lo, hi
-}
-
-// Candidates returns B̃ᵢʲ, the vertices player j can "reasonably suspect"
-// belong to bucket i given only its local view (§3.3): vertices whose
-// local degree d_j(v) satisfies d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ). By the
-// pigeonhole argument, Bᵢ ⊆ ⋃_j B̃ᵢʲ, and each B̃ᵢʲ ⊆ N_k(Bᵢ) (vertices
-// whose true degree is at least d⁻(Bᵢ)/k).
-func Candidates(view *graph.Graph, i, k int) []int {
-	if k < 1 {
-		panic("bucket: Candidates requires k >= 1")
-	}
-	lo := float64(DegMin(i)) / float64(k)
-	hi := DegMax(i) // d⁺ is exclusive in bucket terms; the candidate test is ≤ 3^i per the paper
-	var out []int
-	for v := 0; v < view.N(); v++ {
-		dj := view.Degree(v)
-		if dj > 0 && float64(dj) >= lo && dj <= hi {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // minRankSerialBelow keeps MinRankCandidate serial for small universes,

@@ -14,15 +14,6 @@ import (
 type Board struct {
 	k     int
 	meter *Meter
-	posts []Post
-}
-
-// Post is one blackboard entry.
-type Post struct {
-	// From is the posting player, or Coordinator (-1).
-	From int
-	// Msg is the posted message.
-	Msg Msg
 }
 
 // CoordinatorID is the From value for coordinator posts.
@@ -36,10 +27,10 @@ func NewBoard(k int) *Board {
 	return &Board{k: k, meter: NewMeter(k)}
 }
 
-// Post appends a message from the given player (or CoordinatorID). The
-// message bits are charged once: player posts on the player's channel,
-// coordinator posts on the meter's dedicated coordinator counter, so board
-// traffic is never misattributed to player 0.
+// Post meters one blackboard message from the given player (or
+// CoordinatorID). Its bits are charged once: player posts on the player's
+// channel, coordinator posts on the meter's dedicated coordinator counter,
+// so board traffic is never misattributed to player 0.
 func (b *Board) Post(from int, m Msg) error {
 	if from != CoordinatorID && (from < 0 || from >= b.k) {
 		return fmt.Errorf("comm: blackboard post from invalid player %d", from)
@@ -49,12 +40,8 @@ func (b *Board) Post(from int, m Msg) error {
 	} else {
 		b.meter.AddUp(from, m.Bits())
 	}
-	b.posts = append(b.posts, Post{From: from, Msg: m})
 	return nil
 }
-
-// Posts returns the transcript so far. The slice is shared; do not modify.
-func (b *Board) Posts() []Post { return b.posts }
 
 // Round declares a protocol round for accounting.
 func (b *Board) Round() { b.meter.AddRound() }

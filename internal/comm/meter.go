@@ -193,17 +193,6 @@ type Phase struct {
 	Bits int64
 }
 
-// Phase returns the bit total of the named phase (0 when absent). The
-// phase list is tiny, so a linear scan beats any map.
-func (s Stats) Phase(name string) int64 {
-	for _, p := range s.Phases {
-		if p.Name == name {
-			return p.Bits
-		}
-	}
-	return 0
-}
-
 // MaxPlayerBits reports the largest per-player channel traffic.
 func (s Stats) MaxPlayerBits() int64 {
 	var best int64

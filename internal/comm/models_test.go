@@ -132,11 +132,8 @@ func TestBoardAccounting(t *testing.T) {
 	if s.Rounds != 1 {
 		t.Fatalf("rounds = %d", s.Rounds)
 	}
-	if len(b.Posts()) != 2 {
-		t.Fatalf("posts = %d", len(b.Posts()))
-	}
-	if b.Posts()[0].From != 1 || b.Posts()[1].From != CoordinatorID {
-		t.Fatal("post attribution wrong")
+	if s.PerPlayer[0] != 0 || s.PerPlayer[1] != 20 || s.PerPlayer[2] != 0 || s.CoordinatorBits != 1 {
+		t.Fatalf("post attribution wrong: per-player %v, coordinator %d", s.PerPlayer, s.CoordinatorBits)
 	}
 }
 

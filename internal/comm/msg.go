@@ -23,18 +23,8 @@ func FromWriter(w *wire.Writer) Msg {
 // Bits reports the message length in bits.
 func (m Msg) Bits() int { return m.bits }
 
-// IsEmpty reports whether the message carries no bits.
-func (m Msg) IsEmpty() bool { return m.bits == 0 }
-
 // Reader returns a fresh reader over the message bits.
 func (m Msg) Reader() *wire.Reader { return wire.NewReader(m.data, m.bits) }
-
-// Ack is a conventional 1-bit acknowledgement message.
-func Ack() Msg {
-	var w wire.Writer
-	w.WriteBit(1)
-	return FromWriter(&w)
-}
 
 // frameOf views the message as a transport frame. No copy: both forms are
 // immutable, so the frame may alias the message bytes.

@@ -142,86 +142,6 @@ func TestCSRAgainstNaiveReference(t *testing.T) {
 	}
 }
 
-// TestCSRSubgraphRemoveEdges pins the derived-graph constructors to the
-// reference model.
-func TestCSRSubgraphRemoveEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(30)
-		g, ref := randomInstance(rng, n, 4*n)
-
-		keep := map[int]bool{}
-		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				keep[v] = true
-			}
-		}
-		sub := g.Subgraph(keep)
-		if sub.N() != n {
-			t.Fatalf("trial %d: Subgraph changed universe", trial)
-		}
-		wantM := 0
-		for e := range ref.set {
-			if keep[e[0]] && keep[e[1]] {
-				wantM++
-			}
-		}
-		if sub.M() != wantM {
-			t.Fatalf("trial %d: Subgraph M = %d, want %d", trial, sub.M(), wantM)
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				want := keep[u] && keep[v] && ref.has(u, v) && u != v
-				if sub.HasEdge(u, v) != want {
-					t.Fatalf("trial %d: Subgraph.HasEdge(%d,%d) = %v, want %v",
-						trial, u, v, sub.HasEdge(u, v), want)
-				}
-			}
-		}
-
-		// Remove a random subset of edges (plus a few absent ones, which
-		// must be no-ops).
-		var remove []Edge
-		for e := range ref.set {
-			if rng.Intn(2) == 0 {
-				remove = append(remove, Edge{U: e[0], V: e[1]})
-			}
-		}
-		remove = append(remove, Edge{U: 0, V: n - 1}) // possibly absent; harmless
-		h := g.RemoveEdges(remove)
-		removed := map[[2]int]bool{}
-		for _, e := range remove {
-			u, v := e.U, e.V
-			if u > v {
-				u, v = v, u
-			}
-			removed[[2]int{u, v}] = true
-		}
-		wantM = 0
-		for e := range ref.set {
-			if !removed[e] {
-				wantM++
-			}
-		}
-		if h.M() != wantM {
-			t.Fatalf("trial %d: RemoveEdges M = %d, want %d", trial, h.M(), wantM)
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				uu, vv := u, v
-				if uu > vv {
-					uu, vv = vv, uu
-				}
-				want := ref.has(u, v) && !removed[[2]int{uu, vv}]
-				if h.HasEdge(u, v) != want {
-					t.Fatalf("trial %d: RemoveEdges.HasEdge(%d,%d) = %v, want %v",
-						trial, u, v, h.HasEdge(u, v), want)
-				}
-			}
-		}
-	}
-}
-
 // TestBuilderFrozen checks the freeze contract: Build recycles the
 // builder, and further AddEdge calls must fail loudly rather than corrupt
 // pooled state.

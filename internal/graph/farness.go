@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math/bits"
 	"sync"
 
 	"tricomm/internal/bitset"
@@ -162,114 +161,8 @@ func (g *Graph) FarnessLowerBound() float64 {
 	return float64(g.PackTriangleCount()) / float64(g.m)
 }
 
-// ExactTriangleDistance computes, by exhaustive search over removal
-// subsets of the triangle edges, the minimum number of edge removals that
-// make g triangle-free. It is exponential and intended only for tests on
-// tiny graphs (panics if more than 24 edges participate in triangles).
-func (g *Graph) ExactTriangleDistance() int {
-	tri := g.Triangles(-1)
-	if len(tri) == 0 {
-		return 0
-	}
-	// Collect the edges participating in triangles; removals outside this
-	// set are never useful. The candidate set is tiny (≤ 24 edges), so a
-	// keyed slice with linear lookup replaces the former map[uint64]int.
-	var edges []Edge
-	indexOf := func(e Edge) int {
-		for i, x := range edges {
-			if x == e {
-				return i
-			}
-		}
-		return -1
-	}
-	for _, t := range tri {
-		for _, e := range t.Edges() {
-			if indexOf(e) < 0 {
-				edges = append(edges, e)
-			}
-		}
-	}
-	if len(edges) > 24 {
-		panic("graph: ExactTriangleDistance limited to 24 triangle edges")
-	}
-	// Each triangle is a 3-bit mask over the candidate edges; a removal set
-	// is feasible iff it hits every mask.
-	masks := make([]uint32, len(tri))
-	for i, t := range tri {
-		var m uint32
-		for _, e := range t.Edges() {
-			m |= 1 << uint(indexOf(e))
-		}
-		masks[i] = m
-	}
-	best := len(edges)
-	for s := uint32(0); s < 1<<uint(len(edges)); s++ {
-		if bits.OnesCount32(s) >= best {
-			continue
-		}
-		ok := true
-		for _, m := range masks {
-			if s&m == 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			best = bits.OnesCount32(s)
-		}
-	}
-	return best
-}
-
 // IsTriangleFree reports whether g contains no triangle.
 func (g *Graph) IsTriangleFree() bool {
 	_, ok := g.FindTriangle()
 	return !ok
-}
-
-// FarnessReport summarizes the farness structure of a graph for
-// experiment logs.
-type FarnessReport struct {
-	N, M          int
-	AvgDegree     float64
-	Triangles     int64
-	PackingSize   int
-	EpsLowerBound float64
-	DisjointVees  int // Σ_v per-source maximal disjoint vees
-	TriangleEdges int
-	MaxDegree     int
-}
-
-// Analyze computes a FarnessReport. Triangle counting is skipped (set to
-// -1) when the graph has more than maxTriangleWork edges and countAll is
-// false.
-func (g *Graph) Analyze(countAll bool) FarnessReport { return g.AnalyzeN(countAll, 1) }
-
-// AnalyzeN is Analyze with up to workers goroutines fanning the counting
-// kernels (triangle count and per-source vee matchings); the packing
-// stays serial because the greedy is order-dependent. The report is
-// bit-identical to Analyze at any worker count.
-func (g *Graph) AnalyzeN(countAll bool, workers int) FarnessReport {
-	r := FarnessReport{
-		N:         g.n,
-		M:         g.m,
-		AvgDegree: g.AvgDegree(),
-		MaxDegree: g.MaxDegree(),
-	}
-	r.PackingSize = g.PackTriangleCount()
-	if g.m > 0 {
-		r.EpsLowerBound = float64(r.PackingSize) / float64(g.m)
-	}
-	for _, c := range g.DisjointVeeCountN(workers) {
-		r.DisjointVees += c
-	}
-	if countAll {
-		r.Triangles = g.CountTrianglesN(workers)
-		r.TriangleEdges = len(g.TriangleEdges())
-	} else {
-		r.Triangles = -1
-		r.TriangleEdges = -1
-	}
-	return r
 }

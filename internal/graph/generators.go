@@ -371,31 +371,6 @@ func Embed(g *Graph, nTotal int) *Graph {
 	return b.Build()
 }
 
-// Relabel returns a copy of g with vertex v renamed to perm[v]. perm must
-// be a permutation of [0, g.N()).
-func Relabel(g *Graph, perm []int) *Graph {
-	if len(perm) != g.N() {
-		panic("graph: Relabel permutation has wrong length")
-	}
-	b := NewBuilder(g.N())
-	g.VisitEdges(func(e Edge) bool {
-		b.AddEdge(perm[e.U], perm[e.V])
-		return true
-	})
-	return b.Build()
-}
-
-// Union returns the union of two graphs over the same vertex universe.
-func Union(g1, g2 *Graph) *Graph {
-	if g1.N() != g2.N() {
-		panic("graph: Union requires equal vertex counts")
-	}
-	b := NewBuilder(g1.N())
-	g1.VisitEdges(func(e Edge) bool { b.AddEdge(e.U, e.V); return true })
-	g2.VisitEdges(func(e Edge) bool { b.AddEdge(e.U, e.V); return true })
-	return b.Build()
-}
-
 // HiddenBlockParams controls HiddenBlock.
 type HiddenBlockParams struct {
 	N        int     // total vertices

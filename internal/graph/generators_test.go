@@ -182,24 +182,6 @@ func TestEmbedPanics(t *testing.T) {
 	Embed(Complete(5), 4)
 }
 
-func TestRelabelBadPermPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad perm did not panic")
-		}
-	}()
-	Relabel(Complete(4), []int{0, 1, 2})
-}
-
-func TestUnionMismatchedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched union did not panic")
-		}
-	}()
-	Union(Complete(4), Complete(5))
-}
-
 func TestHiddenBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := HiddenBlockParams{N: 2000, A: 10, NoiseDeg: 4}

@@ -1,6 +1,6 @@
 // Package graph provides the undirected-graph substrate for the
 // triangle-freeness protocols: a compact adjacency representation,
-// triangle enumeration and edge-disjoint packing (the ε-farness
+// triangle counting and search, edge-disjoint packing (the ε-farness
 // certificates the paper's analysis relies on), triangle-vee analysis,
 // and the workload generators used by the experiments.
 //
@@ -87,11 +87,10 @@ func (g *Graph) denseThreshold() int {
 	return t
 }
 
-// buildShadows materializes bitset shadows for every dense row. Called
-// once at construction (Build and indexEdges); two retained allocations
-// when any row qualifies, none otherwise.
+// buildShadows materializes bitset shadows for every dense row. Build
+// calls it once; two retained allocations when any row qualifies, none
+// otherwise.
 func (g *Graph) buildShadows() {
-	g.shadowW, g.shadowIdx, g.shadow = 0, nil, nil
 	thr := g.denseThreshold()
 	if thr < 0 || g.n == 0 {
 		return
@@ -164,9 +163,6 @@ type Builder struct {
 	set    edgeSet
 	us, vs []int32 // canonical endpoints (us[i] < vs[i]) in insertion order
 }
-
-// N reports the vertex count the builder was created with.
-func (b *Builder) N() int { return b.n }
 
 // grow pre-sizes the builder for about m edges.
 func (b *Builder) grow(m int) {
@@ -323,11 +319,6 @@ func hash64(x uint64) uint64 {
 	return x ^ (x >> 29)
 }
 
-func (s *edgeSet) reset() {
-	clear(s.tab)
-	s.len = 0
-}
-
 // grow resizes the table to hold at least want keys below ¾ load.
 func (s *edgeSet) grow(want int) {
 	need := 1 << bits.Len(uint(want+want/2|7))
@@ -403,18 +394,6 @@ func (g *Graph) AvgDegree() float64 {
 // Degree reports deg(v).
 func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 
-// MaxDegree reports the maximum degree over all vertices (0 for an empty
-// graph).
-func (g *Graph) MaxDegree() int {
-	maxd := int32(0)
-	for v := 0; v < g.n; v++ {
-		if d := g.off[v+1] - g.off[v]; d > maxd {
-			maxd = d
-		}
-	}
-	return int(maxd)
-}
-
 // Neighbors returns the sorted neighbor list of v. The returned slice
 // aliases the graph's flat adjacency array; callers must not modify it.
 func (g *Graph) Neighbors(v int) []int32 { return g.row(v) }
@@ -483,131 +462,4 @@ func (g *Graph) VisitEdges(fn func(Edge) bool) {
 			}
 		}
 	}
-}
-
-// IncidentEdges returns the edges incident to v, each in canonical form.
-func (g *Graph) IncidentEdges(v int) []Edge {
-	row := g.row(v)
-	out := make([]Edge, 0, len(row))
-	for _, w := range row {
-		out = append(out, Edge{U: v, V: int(w)}.Canon())
-	}
-	return out
-}
-
-// Subgraph returns the subgraph induced by keep (as a graph on the same
-// vertex universe [0,n) with only the induced edges). Rows are filtered
-// copies of g's sorted rows, so no dedup or re-sort is needed.
-func (g *Graph) Subgraph(keep map[int]bool) *Graph {
-	sub := &Graph{n: g.n, off: make([]int32, g.n+1)}
-	for u := 0; u < g.n; u++ {
-		sub.off[u+1] = sub.off[u]
-		if !keep[u] {
-			continue
-		}
-		for _, w := range g.row(u) {
-			if keep[int(w)] {
-				sub.off[u+1]++
-			}
-		}
-	}
-	sub.nbr = make([]int32, sub.off[g.n])
-	i := 0
-	for u := 0; u < g.n; u++ {
-		if !keep[u] {
-			continue
-		}
-		for _, w := range g.row(u) {
-			if keep[int(w)] {
-				sub.nbr[i] = w
-				i++
-			}
-		}
-	}
-	sub.m = len(sub.nbr) / 2
-	sub.indexEdges()
-	return sub
-}
-
-// indexEdges fills the membership index from the finished CSR rows (for
-// derived graphs that bypass the Builder) and materializes dense-row
-// shadows, so Subgraph/RemoveEdges results get the same kernels.
-func (g *Graph) indexEdges() {
-	g.set.grow(g.m)
-	for u := 0; u < g.n; u++ {
-		for _, w := range g.row(u) {
-			if int(w) > u {
-				g.set.insert(edgeKey(g.n, u, int(w)))
-			}
-		}
-	}
-	g.buildShadows()
-}
-
-// RemoveEdges returns a copy of g with the given edges removed.
-func (g *Graph) RemoveEdges(remove []Edge) *Graph {
-	drop := make([]uint64, 0, len(remove))
-	for _, e := range remove {
-		drop = append(drop, edgeKey(g.n, e.U, e.V))
-	}
-	sortKeys(drop)
-	dropped := func(u int, w int32) bool {
-		return searchKeys(drop, edgeKey(g.n, u, int(w)))
-	}
-	out := &Graph{n: g.n, off: make([]int32, g.n+1)}
-	for u := 0; u < g.n; u++ {
-		out.off[u+1] = out.off[u]
-		for _, w := range g.row(u) {
-			if !dropped(u, w) {
-				out.off[u+1]++
-			}
-		}
-	}
-	out.nbr = make([]int32, out.off[g.n])
-	i := 0
-	for u := 0; u < g.n; u++ {
-		for _, w := range g.row(u) {
-			if !dropped(u, w) {
-				out.nbr[i] = w
-				i++
-			}
-		}
-	}
-	out.m = len(out.nbr) / 2
-	out.indexEdges()
-	return out
-}
-
-// sortKeys sorts a small key slice ascending (insertion sort: removal
-// lists are short, and this avoids pulling in sort's interface machinery).
-func sortKeys(keys []uint64) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-}
-
-// searchKeys reports whether k occurs in the ascending key slice.
-func searchKeys(keys []uint64, k uint64) bool {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(keys) && keys[lo] == k
-}
-
-// DegreeHistogram returns a map from degree to the number of vertices with
-// that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.n; v++ {
-		h[g.Degree(v)]++
-	}
-	return h
 }

@@ -88,50 +88,6 @@ func TestVisitEdgesEarlyStop(t *testing.T) {
 	}
 }
 
-func TestIncidentEdges(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 2, V: 0}, {U: 2, V: 3}})
-	inc := g.IncidentEdges(2)
-	if len(inc) != 2 {
-		t.Fatalf("IncidentEdges = %v", inc)
-	}
-	for _, e := range inc {
-		if e != e.Canon() {
-			t.Fatalf("edge %v not canonical", e)
-		}
-		if e.U != 2 && e.V != 2 {
-			t.Fatalf("edge %v not incident to 2", e)
-		}
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := Complete(5)
-	sub := g.Subgraph(map[int]bool{0: true, 1: true, 3: true})
-	if sub.M() != 3 {
-		t.Fatalf("induced K3 has %d edges", sub.M())
-	}
-	if !sub.HasEdge(0, 3) || sub.HasEdge(0, 2) {
-		t.Fatal("wrong induced edges")
-	}
-	if sub.N() != g.N() {
-		t.Fatal("Subgraph changed the vertex universe")
-	}
-}
-
-func TestRemoveEdges(t *testing.T) {
-	g := Complete(4)
-	h := g.RemoveEdges([]Edge{{U: 0, V: 1}, {U: 3, V: 2}})
-	if h.M() != 4 {
-		t.Fatalf("M = %d, want 4", h.M())
-	}
-	if h.HasEdge(0, 1) || h.HasEdge(2, 3) {
-		t.Fatal("removed edge still present")
-	}
-	if !h.HasEdge(0, 2) {
-		t.Fatal("kept edge missing")
-	}
-}
-
 func TestDegreeHistogram(t *testing.T) {
 	g := Star(5) // center degree 4, leaves degree 1
 	h := g.DegreeHistogram()
@@ -249,34 +205,6 @@ func TestTripartiteStructure(t *testing.T) {
 		if part(tri.A) == part(tri.B) || part(tri.B) == part(tri.C) {
 			t.Fatalf("triangle %v not cross-part", tri)
 		}
-	}
-}
-
-func TestRelabelPreservesStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := ErdosRenyi(20, 0.3, rng)
-	perm := rng.Perm(20)
-	h := Relabel(g, perm)
-	if h.M() != g.M() {
-		t.Fatalf("edge count changed: %d vs %d", h.M(), g.M())
-	}
-	if h.CountTriangles() != g.CountTriangles() {
-		t.Fatal("triangle count changed under relabeling")
-	}
-	g.VisitEdges(func(e Edge) bool {
-		if !h.HasEdge(perm[e.U], perm[e.V]) {
-			t.Errorf("edge %v lost", e)
-		}
-		return true
-	})
-}
-
-func TestUnion(t *testing.T) {
-	g1 := FromEdges(4, []Edge{{U: 0, V: 1}})
-	g2 := FromEdges(4, []Edge{{U: 1, V: 2}, {U: 0, V: 1}})
-	u := Union(g1, g2)
-	if u.M() != 2 {
-		t.Fatalf("union M = %d, want 2", u.M())
 	}
 }
 

@@ -64,27 +64,6 @@ func (g *Graph) CountTrianglesN(workers int) int64 {
 	return total
 }
 
-// DisjointVeeCountN computes DisjointVeeCount with up to workers
-// goroutines. Per-source matchings are independent (each touches only its
-// own out[v] slot), so the output is bit-identical at any worker count.
-func (g *Graph) DisjointVeeCountN(workers int) []int {
-	workers = parwork.Workers(workers)
-	out := make([]int, g.n)
-	if workers <= 1 || g.n == 0 {
-		for v := 0; v < g.n; v++ {
-			out[v] = g.DisjointVeeCountAt(v)
-		}
-		return out
-	}
-	chunks := g.rowChunks(4 * workers)
-	parwork.Run(workers, len(chunks), func(i int) {
-		for v := chunks[i][0]; v < chunks[i][1]; v++ {
-			out[v] = g.DisjointVeeCountAt(v)
-		}
-	})
-	return out
-}
-
 // FindTriangleN finds the same witness FindTriangle would — the
 // lexicographically first triangle edge with its smallest apex — using up
 // to workers goroutines. Chunks are claimed in ascending row order and

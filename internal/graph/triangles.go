@@ -153,88 +153,6 @@ func (g *Graph) countTrianglesRange(lo, hi int) int64 {
 	return count
 }
 
-// Triangles returns up to limit triangles of g in canonical order
-// (limit < 0 means all). Intended for tests and small graphs.
-func (g *Graph) Triangles(limit int) []Triangle {
-	var out []Triangle
-	g.visitTriangles(func(t Triangle) bool {
-		out = append(out, t)
-		return limit < 0 || len(out) < limit
-	})
-	return out
-}
-
-// visitTriangles enumerates each triangle exactly once as (a<b<c) using
-// forward adjacency intersection; fn returning false stops enumeration.
-func (g *Graph) visitTriangles(fn func(Triangle) bool) {
-	g.visitTrianglesRange(0, g.n, fn)
-}
-
-// visitTrianglesRange enumerates the triangles whose smallest vertex lies
-// in [lo, hi), in canonical (a, b, c) lexicographic order, reporting
-// whether enumeration ran to completion. Every strategy — popcount visit,
-// bit probes along the sparse side, sorted merge — yields apexes in
-// ascending order, so the emission sequence is independent of which rows
-// happen to have shadows.
-func (g *Graph) visitTrianglesRange(lo, hi int, fn func(Triangle) bool) bool {
-	for u := lo; u < hi; u++ {
-		au := g.row(u)
-		// Find the suffix of au with ids > u.
-		fu := au[upperBound(au, int32(u)):]
-		su := g.shadowRow(u)
-		for i, v32 := range fu {
-			v := int(v32)
-			sv := g.shadowRow(v)
-			// Intersect fu[i+1:] (= N(u) ∩ (v,∞)) with N(v) ∩ (v,∞).
-			switch {
-			case su != nil && sv != nil:
-				if !bitset.IntersectVisitAbove(su, sv, v, func(w int) bool {
-					return fn(Triangle{A: u, B: v, C: w})
-				}) {
-					return false
-				}
-			case sv != nil:
-				for _, w := range fu[i+1:] {
-					if bitset.Test(sv, int(w)) {
-						if !fn(Triangle{A: u, B: v, C: int(w)}) {
-							return false
-						}
-					}
-				}
-			case su != nil:
-				av := g.row(v)
-				for _, w := range av[upperBound(av, v32):] {
-					if bitset.Test(su, int(w)) {
-						if !fn(Triangle{A: u, B: v, C: int(w)}) {
-							return false
-						}
-					}
-				}
-			default:
-				rest := fu[i+1:]
-				av := g.row(v)
-				fv := av[upperBound(av, v32):]
-				p, q := 0, 0
-				for p < len(rest) && q < len(fv) {
-					switch {
-					case rest[p] < fv[q]:
-						p++
-					case rest[p] > fv[q]:
-						q++
-					default:
-						if !fn(Triangle{A: u, B: v, C: int(rest[p])}) {
-							return false
-						}
-						p++
-						q++
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
 // upperBound returns the first index i with a[i] > x in the sorted slice a.
 func upperBound(a []int32, x int32) int {
 	lo, hi := 0, len(a)
@@ -304,52 +222,16 @@ func lowerBound(a []int32, x int32) int {
 	return lo
 }
 
-// TriangleEdges returns the set of edges that participate in at least one
-// triangle.
-func (g *Graph) TriangleEdges() []Edge {
-	var out []Edge
-	g.VisitEdges(func(e Edge) bool {
-		if _, ok := g.HasTriangleOn(e); ok {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
-}
-
-// Vee is a triangle-vee (Definition 2): two edges {Source,Left} and
-// {Source,Right} whose far endpoints are adjacent, so that
-// {Left, Right} ∈ E closes a triangle.
-type Vee struct {
-	Source, Left, Right int
-}
-
-// IsVee reports whether v is a triangle-vee in g.
-func (g *Graph) IsVee(v Vee) bool {
-	return g.HasEdge(v.Source, v.Left) && g.HasEdge(v.Source, v.Right) &&
-		g.HasEdge(v.Left, v.Right)
-}
-
-// DisjointVeesAt returns a maximal set of pairwise edge-disjoint
-// triangle-vees with source v, computed greedily. The size of any maximal
-// set is at least half the maximum, which suffices everywhere the paper
-// uses "a set of disjoint triangle-vees" (its own arguments are also
-// greedy/counting arguments).
+// DisjointVeeCountAt reports the size of a maximal set of pairwise
+// edge-disjoint triangle-vees with source v, computed greedily. The size
+// of any maximal set is at least half the maximum, which suffices
+// everywhere the paper uses "a set of disjoint triangle-vees" (its own
+// arguments are also greedy/counting arguments).
 //
-// Two vees at the same source are disjoint iff they share no incident edge
-// of v, i.e. they form a matching on the neighborhood graph
-// H_v = (N(v), {uw : u,w ∈ N(v), uw ∈ E}).
-func (g *Graph) DisjointVeesAt(v int) []Vee {
-	var out []Vee
-	g.disjointVeesAt(v, func(s, l, r int) {
-		out = append(out, Vee{Source: s, Left: l, Right: r})
-	})
-	return out
-}
-
-// DisjointVeeCountAt reports len(DisjointVeesAt(v)) without materializing
-// the vees — the form every counting caller (Definition 5 fullness, the
-// farness report) actually needs.
+// A triangle-vee (Definition 2) is two edges {v,u} and {v,w} whose far
+// endpoints are adjacent. Two vees at the same source are disjoint iff
+// they share no incident edge of v, i.e. they form a matching on the
+// neighborhood graph H_v = (N(v), {uw : u,w ∈ N(v), uw ∈ E}).
 func (g *Graph) DisjointVeeCountAt(v int) int {
 	count := 0
 	g.disjointVeesAt(v, func(int, int, int) { count++ })
@@ -427,17 +309,4 @@ func firstAvailAbove(row []uint64, avail *bitset.Set, lo int) int {
 		}
 		m = row[w] & avail.Word(w)
 	}
-}
-
-// DisjointVeeCount returns, for every vertex, the size of a maximal set of
-// edge-disjoint triangle-vees sourced at it. The paper's notion of
-// "disjoint" across different sources only requires edge-disjointness or
-// distinct sources, so summing per-source maximal matchings certifies a
-// valid global family.
-func (g *Graph) DisjointVeeCount() []int {
-	out := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		out[v] = g.DisjointVeeCountAt(v)
-	}
-	return out
 }

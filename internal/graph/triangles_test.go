@@ -279,24 +279,6 @@ func TestFarnessLowerBound(t *testing.T) {
 	}
 }
 
-func TestAnalyzeReport(t *testing.T) {
-	g := DisjointTriangles(12, 4, rand.New(rand.NewSource(3)))
-	r := g.Analyze(true)
-	if r.N != 12 || r.M != 12 || r.Triangles != 4 || r.PackingSize != 4 {
-		t.Fatalf("report = %+v", r)
-	}
-	if r.TriangleEdges != 12 {
-		t.Fatalf("TriangleEdges = %d, want 12", r.TriangleEdges)
-	}
-	if r.EpsLowerBound < 0.33 {
-		t.Fatalf("EpsLowerBound = %v", r.EpsLowerBound)
-	}
-	r2 := g.Analyze(false)
-	if r2.Triangles != -1 || r2.TriangleEdges != -1 {
-		t.Fatal("Analyze(false) should skip triangle counting")
-	}
-}
-
 func TestIsTriangleRejectsDegenerate(t *testing.T) {
 	g := Complete(4)
 	if g.IsTriangle(1, 1, 2) || g.IsTriangle(0, 1, 1) {

@@ -225,32 +225,13 @@ func (p Plan) runTrialInto(ctx context.Context, a *Arena, trial int, row []Trial
 	return nil
 }
 
-// Run executes the plan's trials over `jobs` workers and returns the
-// results indexed [trial][tester]. All result cells live in one flat
-// preallocated backing array (trials × testers), so the per-trial row
-// allocation of the naive shape never happens.
-func (p Plan) Run(ctx context.Context, jobs int) ([][]TrialResult, error) {
-	cells := make([]TrialResult, p.Trials*len(p.Testers))
-	rows, err := MapArena(ctx, jobs, p.Trials, func(ctx context.Context, a *Arena, trial int) ([]TrialResult, error) {
-		row := cells[trial*len(p.Testers) : (trial+1)*len(p.Testers)]
-		if err := p.runTrialInto(ctx, a, trial, row); err != nil {
-			return nil, err
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // RunPlans executes several plans — typically one per sweep point — by
 // flattening every (plan, trial) pair onto ONE shared worker pool, so
 // total in-flight work never exceeds `jobs` no matter how many points a
 // sweep has (nested pools would multiply to jobs² workers and thrash
 // the scheduler). Results are indexed [plan][trial][tester]; the
-// determinism contract of Map applies unchanged. As in Plan.Run, every
-// result cell lives in one flat backing array sized up front.
+// determinism contract of Map applies unchanged. Every result cell lives
+// in one flat backing array sized up front.
 func RunPlans(ctx context.Context, jobs int, plans []Plan) ([][][]TrialResult, error) {
 	type coord struct {
 		plan, trial int

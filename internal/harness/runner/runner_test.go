@@ -136,14 +136,15 @@ func TestPlanDeterministicAcrossJobs(t *testing.T) {
 			},
 		},
 	}
-	seq, err := plan.Run(context.Background(), 1)
+	seqs, err := RunPlans(context.Background(), 1, []Plan{plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := plan.Run(context.Background(), 8)
+	pars, err := RunPlans(context.Background(), 8, []Plan{plan})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq, par := seqs[0], pars[0]
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("plan results differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
 	}

@@ -127,8 +127,3 @@ func (r BHMReduction) ExpectedTriangles() int64 {
 	}
 	return 0
 }
-
-// DecodeAnswer converts a triangle-detection verdict back to the BHM
-// answer: a triangle found means Mx⊕w has a zero coordinate, which under
-// the promise means the all-zeros side.
-func DecodeAnswer(foundTriangle bool) (allZero bool) { return foundTriangle }

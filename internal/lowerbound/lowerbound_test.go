@@ -107,28 +107,6 @@ func TestIsValidOutput(t *testing.T) {
 	}
 }
 
-func TestEmbedSparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	inst := SampleMu(MuParams{NPart: 60, Gamma: 2}, rng)
-	origPack, _ := inst.FarnessCertificate()
-	sparse, nTotal := inst.EmbedSparse(2.0)
-	if nTotal <= inst.N() {
-		t.Fatalf("embedding did not grow: %d", nTotal)
-	}
-	if got := sparse.G.AvgDegree(); got > 2.05 {
-		t.Fatalf("avg degree %v > target 2", got)
-	}
-	newPack, _ := sparse.FarnessCertificate()
-	if newPack != origPack {
-		t.Fatalf("packing changed: %d → %d", origPack, newPack)
-	}
-	// No-op when target is above current degree.
-	same, n2 := inst.EmbedSparse(1e9)
-	if n2 != inst.N() || same.G != inst.G {
-		t.Fatal("EmbedSparse should be a no-op for high targets")
-	}
-}
-
 func TestOneWayProbeThreshold(t *testing.T) {
 	// The star strategy should go from near-0 to near-1 success as the
 	// budget passes ~n^{1/4}·log n: test one low and one high budget.
@@ -353,13 +331,10 @@ func TestBHMSolvedByTester(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !allZero && DecodeAnswer(res.Found()) {
+			// A found triangle decodes as the all-zeros side, so the
+			// all-ones side must never show one.
+			if !allZero && res.Found() {
 				t.Fatalf("seed %d: tester found a triangle on the all-ones side", seed)
-			}
-			// One-sided: on the all-zeros side the tester may miss, but a
-			// found triangle must decode correctly.
-			if res.Found() && !DecodeAnswer(res.Found()) {
-				t.Fatal("decode inconsistent")
 			}
 		}
 	}

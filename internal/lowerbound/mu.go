@@ -125,18 +125,3 @@ func (m MuInstance) IsValidOutput(e wire.Edge) bool {
 	_, ok := m.G.HasTriangleOn(e)
 	return ok
 }
-
-// EmbedSparse applies Lemma 4.17: it pads the instance with isolated
-// vertices until the average degree drops to targetD, preserving the edge
-// set, the triangles, and the absolute distance to triangle-freeness. The
-// players' inputs are unchanged (their edges keep their ids).
-func (m MuInstance) EmbedSparse(targetD float64) (MuInstance, int) {
-	d := m.G.AvgDegree()
-	if targetD <= 0 || targetD >= d {
-		return m, m.N()
-	}
-	nTotal := int(math.Ceil(float64(m.N()) * d / targetD))
-	out := m
-	out.G = graph.Embed(m.G, nTotal)
-	return out, nTotal
-}

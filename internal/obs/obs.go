@@ -15,7 +15,7 @@
 //
 // A Registry holds metric families. A family has a name, a help string, a
 // kind (counter | gauge | histogram), and at most one label key. Labeled
-// families (CounterVec, GaugeVec) materialize one child per label value on
+// families (CounterVec) materialize one child per label value on
 // first use; the children map is copy-on-write behind an atomic pointer,
 // so the lookup path takes no lock. Unlabeled families are a single
 // pre-materialized child. Values are float64 bits in a uint64 atomic —
@@ -92,9 +92,6 @@ type Family struct {
 	mu       sync.Mutex // guards child creation (copy-on-write)
 	children atomic.Pointer[map[string]*metric]
 }
-
-// Name returns the family name.
-func (f *Family) Name() string { return f.name }
 
 // get returns the child for a label value, creating it on first use. The
 // hit path is one atomic pointer load and one map read — no locks, no
@@ -237,18 +234,6 @@ type Gauge struct{ m *metric }
 // Set replaces the value.
 func (g Gauge) Set(f float64) { g.m.val.Set(f) }
 
-// Add adds d (negative to decrease).
-func (g Gauge) Add(d float64) { g.m.val.Add(d) }
-
-// Value reads the current value.
-func (g Gauge) Value() float64 { return g.m.val.Load() }
-
-// GaugeVec is a gauge family with one label.
-type GaugeVec struct{ f *Family }
-
-// With returns the gauge for a label value.
-func (v GaugeVec) With(label string) Gauge { return Gauge{v.f.get(label)} }
-
 // Histogram is a fixed-bucket histogram: cumulative bucket counts, a sum,
 // and a count, rendered Prometheus-style with le labels.
 type Histogram struct {
@@ -268,18 +253,6 @@ func (h Histogram) Observe(v float64) {
 	h.m.val.Add(v) // the _sum series
 }
 
-// Count reads the total number of observations.
-func (h Histogram) Count() int64 {
-	var n int64
-	for i := range h.m.hcounts {
-		n += h.m.hcounts[i].Load()
-	}
-	return n
-}
-
-// Sum reads the sum of all observed values.
-func (h Histogram) Sum() float64 { return h.m.val.Load() }
-
 // NewCounter registers (or returns) an unlabeled counter.
 func (r *Registry) NewCounter(name, help string) Counter {
 	return Counter{r.family(name, help, KindCounter, "", nil).get("")}
@@ -293,11 +266,6 @@ func (r *Registry) NewCounterVec(name, help, label string) CounterVec {
 // NewGauge registers an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) Gauge {
 	return Gauge{r.family(name, help, KindGauge, "", nil).get("")}
-}
-
-// NewGaugeVec registers a gauge family keyed by one label.
-func (r *Registry) NewGaugeVec(name, help, label string) GaugeVec {
-	return GaugeVec{r.family(name, help, KindGauge, label, nil)}
 }
 
 // NewGaugeFunc registers a gauge whose value is read at scrape time —
@@ -332,9 +300,6 @@ func NewCounterVec(name, help, label string) CounterVec {
 
 // NewGauge registers an unlabeled gauge on Default.
 func NewGauge(name, help string) Gauge { return Default.NewGauge(name, help) }
-
-// NewGaugeVec registers a labeled gauge family on Default.
-func NewGaugeVec(name, help, label string) GaugeVec { return Default.NewGaugeVec(name, help, label) }
 
 // NewGaugeFunc registers a scrape-time gauge on Default.
 func NewGaugeFunc(name, help string, fn func() float64) { Default.NewGaugeFunc(name, help, fn) }

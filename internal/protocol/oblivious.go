@@ -7,7 +7,6 @@ import (
 
 	"tricomm/internal/blocks"
 	"tricomm/internal/comm"
-	"tricomm/internal/graph"
 	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
@@ -141,33 +140,11 @@ func (s SimOblivious) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 			return comm.FromWriter(&w), nil
 		},
 		func(_ *xrand.Shared, msgs []comm.Msg) error {
-			b := graph.NewBuilder(n)
-			ec := wire.NewEdgeCodec(n)
-			for _, m := range msgs {
-				r := m.Reader()
-				instances, err := r.ReadUvarint()
-				if err != nil {
-					return err
-				}
-				for i := uint64(0); i < instances; i++ {
-					if _, err := r.ReadUvarint(); err != nil { // guess exponent
-						return err
-					}
-					edges, err := ec.GetEdgeList(r)
-					if err != nil {
-						return err
-					}
-					for _, e := range edges {
-						b.AddEdge(e.U, e.V)
-					}
-				}
+			r, err := simRefereeResult(n, msgs, decodeInstanceLists(n), top.IntraWorkers())
+			if err != nil {
+				return err
 			}
-			exposed := b.Build()
-			res = Result{Verdict: TriangleFree}
-			if tri, ok := exposed.FindTriangleN(top.IntraWorkers()); ok {
-				res.Verdict = FoundTriangle
-				res.Triangle = tri
-			}
+			res = r
 			return nil
 		})
 	res.Stats = stats

@@ -44,9 +44,6 @@ func (p *Phases) Get(name string) int64 {
 	return 0
 }
 
-// Len reports the number of recorded phases.
-func (p *Phases) Len() int { return p.n }
-
 // All iterates the phases in insertion order.
 func (p *Phases) All() iter.Seq2[string, int64] {
 	return func(yield func(string, int64) bool) {
@@ -56,17 +53,4 @@ func (p *Phases) All() iter.Seq2[string, int64] {
 			}
 		}
 	}
-}
-
-// Map materializes the table as a map, for callers that want the old
-// representation (cold paths only).
-func (p *Phases) Map() map[string]int64 {
-	if p.n == 0 {
-		return nil
-	}
-	m := make(map[string]int64, p.n)
-	for i := 0; i < p.n; i++ {
-		m[p.names[i]] = p.bits[i]
-	}
-	return m
 }

@@ -83,6 +83,32 @@ func decodeEdgeList(n int) func(m comm.Msg) ([]wire.Edge, error) {
 	}
 }
 
+// decodeInstanceLists decodes a SimOblivious message: an instance count,
+// then per instance its guess exponent and edge list. The referee needs
+// only the edges, so it returns the instances' lists concatenated.
+func decodeInstanceLists(n int) func(m comm.Msg) ([]wire.Edge, error) {
+	ec := wire.NewEdgeCodec(n)
+	return func(m comm.Msg) ([]wire.Edge, error) {
+		r := m.Reader()
+		instances, err := r.ReadUvarint()
+		if err != nil {
+			return nil, err
+		}
+		var edges []wire.Edge
+		for i := uint64(0); i < instances; i++ {
+			if _, err := r.ReadUvarint(); err != nil { // guess exponent
+				return nil, err
+			}
+			es, err := ec.GetEdgeList(r)
+			if err != nil {
+				return nil, err
+			}
+			edges = append(edges, es...)
+		}
+		return edges, nil
+	}
+}
+
 // SimHigh is the high-degree simultaneous tester (§3.4.1, Algorithms 7/9):
 // every player sends its edges inside the shared random vertex set S of
 // size Θ((n²/(ε·d))^{1/3}); the referee looks for a triangle in the union.

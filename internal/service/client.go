@@ -222,20 +222,6 @@ func (c *Client) JobPage(ctx context.Context, id string, offset, limit int) (Job
 	return ji, err
 }
 
-// Jobs lists the server's retained jobs.
-func (c *Client) Jobs(ctx context.Context) ([]JobInfo, error) {
-	var jis []JobInfo
-	err := c.do(ctx, http.MethodGet, c.url("/v1/jobs"), nil, &jis)
-	return jis, err
-}
-
-// Scenarios fetches the server's scenario-family catalog.
-func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
-	var out []ScenarioInfo
-	err := c.do(ctx, http.MethodGet, c.url("/v1/scenarios"), nil, &out)
-	return out, err
-}
-
 // ServerStats fetches the service counters.
 func (c *Client) ServerStats(ctx context.Context) (Stats, error) {
 	var st Stats
@@ -246,16 +232,6 @@ func (c *Client) ServerStats(ctx context.Context) (Stats, error) {
 // Health checks liveness.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, c.url("/healthz"), nil, nil)
-}
-
-// HealthInfo fetches the full liveness/readiness payload. Unlike Health
-// it decodes the body, so callers see the store backend, resume count,
-// and queue snapshot; a draining server (503) still yields its payload
-// alongside the error.
-func (c *Client) HealthInfo(ctx context.Context) (Health, error) {
-	var h Health
-	err := c.do(ctx, http.MethodGet, c.url("/healthz"), nil, &h)
-	return h, err
 }
 
 // Metrics scrapes and parses the server's /metrics exposition. The

@@ -153,8 +153,8 @@ func Scenarios() []ScenarioInfo {
 }
 
 // ParseGraphSpec turns a scenario argument — a registry family name or a
-// JSON spec — into a job GraphSpec (the conversion tritest/tricli use for
-// their -scenario flags).
+// JSON spec — into a job GraphSpec. perfbench's daemon workload and the
+// scenario golden test build their jobs with it.
 func ParseGraphSpec(s string) (GraphSpec, error) {
 	sp, err := scenario.Parse(s)
 	if err != nil {

@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// HealthInfo fetches the full liveness/readiness payload. Unlike Health
+// it decodes the body, so callers see the store backend, resume count,
+// and queue snapshot; a draining server (503) still yields its payload
+// alongside the error.
+func (c *Client) HealthInfo(ctx context.Context) (Health, error) {
+	var h Health
+	err := c.do(ctx, http.MethodGet, c.url("/healthz"), nil, &h)
+	return h, err
+}
+
 // TestMetricsEndToEnd scrapes /metrics through the real HTTP handler
 // after running a job and checks that series from every layer the job
 // exercised are present and moved. Metric state is process-global, so

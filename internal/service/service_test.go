@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -297,6 +298,13 @@ func TestScenarioJobsOverHTTP(t *testing.T) {
 			t.Fatalf("echoed K=%d but the prescribed assignment has k=%d", fin.Spec.K, fin.Spec.Graph.K)
 		}
 	}
+}
+
+// Scenarios fetches the server's scenario-family catalog.
+func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
+	var out []ScenarioInfo
+	err := c.do(ctx, http.MethodGet, c.url("/v1/scenarios"), nil, &out)
+	return out, err
 }
 
 // TestScenarioCatalogEndpoint covers GET /v1/scenarios: one entry per

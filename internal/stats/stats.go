@@ -209,11 +209,6 @@ type PowerFit struct {
 // A returns the multiplicative constant of the fit.
 func (f PowerFit) A() float64 { return math.Exp(f.LogA) }
 
-// Predict evaluates the fitted law at x.
-func (f PowerFit) Predict(x float64) float64 {
-	return f.A() * math.Pow(x, f.Exponent)
-}
-
 // String implements fmt.Stringer.
 func (f PowerFit) String() string {
 	return fmt.Sprintf("y ≈ %.3g·x^%.3f (R²=%.3f, n=%d)", f.A(), f.Exponent, f.R2, f.N)

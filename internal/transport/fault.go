@@ -87,15 +87,6 @@ func (s FaultSpec) WithSeed(seed uint64) FaultSpec {
 	return s
 }
 
-// JSON returns the canonical JSON encoding of the spec.
-func (s FaultSpec) JSON() string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic(fmt.Sprintf("transport: marshal FaultSpec: %v", err)) // no unmarshalable fields
-	}
-	return string(b)
-}
-
 // Validate checks the rate and parameter ranges.
 func (s FaultSpec) Validate() error {
 	rates := []struct {

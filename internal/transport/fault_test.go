@@ -3,12 +3,22 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
+
+// JSON returns the canonical JSON encoding of the spec.
+func (s FaultSpec) JSON() string {
+	b, err := json.Marshal(s)
+	if err != nil {
+		panic(fmt.Sprintf("transport: marshal FaultSpec: %v", err)) // no unmarshalable fields
+	}
+	return string(b)
+}
 
 func TestParseFaultSpec(t *testing.T) {
 	for _, tc := range []struct {

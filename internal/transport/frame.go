@@ -75,23 +75,6 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Data[:nb]...)
 }
 
-// DecodeFrame decodes one frame from the front of p, returning the frame
-// and the number of bytes consumed. The returned frame's Data aliases p.
-func DecodeFrame(p []byte) (Frame, int, error) {
-	bits, n := binary.Uvarint(p)
-	if n <= 0 {
-		return Frame{}, 0, ErrFrameTruncated
-	}
-	if bits > MaxFrameBits {
-		return Frame{}, 0, ErrFrameTooLarge
-	}
-	nb := int(bits+7) / 8
-	if len(p) < n+nb {
-		return Frame{}, 0, ErrFrameTruncated
-	}
-	return Frame{Bits: int(bits), Data: p[n : n+nb]}, n + nb, nil
-}
-
 // readFrame reads one frame from br. The payload is freshly allocated: the
 // engine hands received frames to protocol code that may retain them across
 // rounds, so a reusable buffer would alias live messages.

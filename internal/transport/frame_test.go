@@ -10,6 +10,23 @@ import (
 	"tricomm/internal/wire"
 )
 
+// DecodeFrame decodes one frame from the front of p, returning the frame
+// and the number of bytes consumed. The returned frame's Data aliases p.
+func DecodeFrame(p []byte) (Frame, int, error) {
+	bits, n := binary.Uvarint(p)
+	if n <= 0 {
+		return Frame{}, 0, ErrFrameTruncated
+	}
+	if bits > MaxFrameBits {
+		return Frame{}, 0, ErrFrameTooLarge
+	}
+	nb := int(bits+7) / 8
+	if len(p) < n+nb {
+		return Frame{}, 0, ErrFrameTruncated
+	}
+	return Frame{Bits: int(bits), Data: p[n : n+nb]}, n + nb, nil
+}
+
 // TestFrameGoldenLayout pins the frame byte layout. These bytes are the
 // wire format; changing them silently would break cross-version sessions,
 // so any diff here must be deliberate.

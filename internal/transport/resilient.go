@@ -40,10 +40,6 @@ import (
 // The CRC32 (IEEE, big-endian) covers every preceding byte. The envelope
 // frame's Bits is its full byte length × 8.
 
-// envelopeOverhead is the worst-case envelope bytes added per message:
-// two uvarints plus the checksum.
-const envelopeOverhead = 2*binary.MaxVarintLen64 + 4
-
 // appendEnvelope appends the envelope encoding of (seq, f) to dst.
 func appendEnvelope(dst []byte, seq uint64, f Frame) []byte {
 	dst = binary.AppendUvarint(dst, seq)

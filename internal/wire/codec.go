@@ -21,9 +21,6 @@ func NewVertexCodec(n int) VertexCodec {
 	return VertexCodec{n: n, width: BitsFor(n)}
 }
 
-// N reports the size of the vertex universe.
-func (c VertexCodec) N() int { return c.n }
-
 // Width reports the number of bits used per vertex id.
 func (c VertexCodec) Width() int { return c.width }
 
@@ -154,12 +151,6 @@ func (c EdgeCodec) GetEdgeList(r *Reader) ([]Edge, error) {
 		edges = append(edges, e)
 	}
 	return edges, nil
-}
-
-// EdgeListBits reports the encoded size in bits of PutEdgeList for m edges
-// in an n-vertex graph.
-func EdgeListBits(n, m int) int {
-	return UvarintBits(uint64(m)) + m*2*BitsFor(n)
 }
 
 // PutVertexList appends a length-prefixed vertex list in sorted order.

@@ -264,21 +264,3 @@ func BitsFor(n int) int {
 	}
 	return bits.Len64(uint64(n - 1))
 }
-
-// UvarintBits reports the encoded size in bits of WriteUvarint(v).
-func UvarintBits(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return 8 * n
-}
-
-// GammaBits reports the encoded size in bits of WriteGamma(v), v ≥ 1.
-func GammaBits(v uint64) int {
-	if v == 0 {
-		panic("wire: GammaBits requires v >= 1")
-	}
-	return 2*bits.Len64(v) - 1
-}

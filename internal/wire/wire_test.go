@@ -81,12 +81,16 @@ func TestReadUintBadWidth(t *testing.T) {
 }
 
 func TestUvarintRoundTrip(t *testing.T) {
-	cases := []uint64{0, 1, 127, 128, 16383, 16384, 1 << 32, 1<<64 - 1}
-	for _, v := range cases {
+	cases := []struct {
+		v    uint64
+		bits int
+	}{{0, 8}, {1, 8}, {127, 8}, {128, 16}, {16383, 16}, {16384, 24}, {1 << 32, 40}, {1<<64 - 1, 80}}
+	for _, tc := range cases {
+		v := tc.v
 		var w Writer
 		w.WriteUvarint(v)
-		if w.BitLen() != UvarintBits(v) {
-			t.Fatalf("v=%d: BitLen=%d, UvarintBits=%d", v, w.BitLen(), UvarintBits(v))
+		if w.BitLen() != tc.bits {
+			t.Fatalf("v=%d: BitLen=%d, want %d", v, w.BitLen(), tc.bits)
 		}
 		got, err := ReaderFor(&w).ReadUvarint()
 		if err != nil {
@@ -103,8 +107,8 @@ func TestGammaRoundTrip(t *testing.T) {
 	for _, v := range cases {
 		var w Writer
 		w.WriteGamma(v)
-		if w.BitLen() != GammaBits(v) {
-			t.Fatalf("v=%d: BitLen=%d, GammaBits=%d", v, w.BitLen(), GammaBits(v))
+		if want := 2*bits.Len64(v) - 1; w.BitLen() != want {
+			t.Fatalf("v=%d: BitLen=%d, want %d", v, w.BitLen(), want)
 		}
 		got, err := ReaderFor(&w).ReadGamma()
 		if err != nil {

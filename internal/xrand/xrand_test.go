@@ -6,6 +6,23 @@ import (
 	"testing/quick"
 )
 
+// MinRank returns the element of elems with the smallest rank under the
+// key, or (-1, false) if elems is empty. This is the shared-permutation
+// primitive: all parties computing MinRank over sets whose union is S agree
+// on the overall minimum of S by exchanging only their local minima.
+func (k Key) MinRank(elems []int) (int, bool) {
+	if len(elems) == 0 {
+		return -1, false
+	}
+	best := elems[0]
+	for _, e := range elems[1:] {
+		if k.Before(uint64(e), uint64(best)) {
+			best = e
+		}
+	}
+	return best, true
+}
+
 func TestDeterminismAcrossParties(t *testing.T) {
 	// Two "parties" constructing Shared from the same seed must agree on
 	// every derived object.

@@ -150,16 +150,18 @@ func TestInvariantTriangleFreeNeverRejected(t *testing.T) {
 	}
 }
 
-// TestInvariantCompletenessInteractive pins the interactive tester's
-// completeness (Thm 3.20): on a certified ε-far instance it finds a
-// triangle with probability at least 2/3. It runs Interactive with
-// unknown degree, ε = 0.2 and k = 4 on `far` and `behrend-blowup` under
-// every split scheme and on `dup-adversary` under its prescribed split,
-// 48 fixed-seed trials per family spread evenly over its splits. A family
-// fails when the Wilson 95% lower bound of its pooled found/trials falls
-// below 2/3: that tolerates up to 9 misses in 48, so a rare miss does not
-// fail the suite, but a split that never finds a triangle (36/48) does.
-func TestInvariantCompletenessInteractive(t *testing.T) {
+// TestInvariantCompleteness pins every protocol's completeness: on a
+// certified ε-far instance each finds a triangle with probability at
+// least 2/3. Each protocol runs with ε = 0.2 and k = 4 on `far` and
+// `behrend-blowup` under every split scheme and on `dup-adversary` under
+// its prescribed split, 48 fixed-seed trials per family spread evenly
+// over its splits. sim-low and sim-high get the instance's average
+// degree, which they require; the others run with unknown degree. A
+// family fails when the Wilson 95% lower bound of its pooled found/trials
+// falls below 2/3: that tolerates up to 9 misses in 48, so a rare miss
+// does not fail the suite, but a split that never finds a triangle
+// (36/48) does.
+func TestInvariantCompleteness(t *testing.T) {
 	const trials = 48
 	type scheme = struct {
 		name string
@@ -171,32 +173,46 @@ func TestInvariantCompletenessInteractive(t *testing.T) {
 	}{
 		{`{"family":"far","n":256,"d":8}`, invariantSchemes},
 		{"behrend-blowup", invariantSchemes},
-		// RunScenario gives the players the family's prescribed split.
+		// Cluster gives the players the family's prescribed split.
 		{`{"family":"dup-adversary","n":256}`, []scheme{{"prescribed", SplitDisjoint}}},
 	}
-	opts := Options{Protocol: Interactive, Eps: 0.2}
-	for _, fam := range families {
-		opts.Scenario = fam.spec
-		perScheme := trials / len(fam.schemes)
-		found := 0
-		for _, sc := range fam.schemes {
-			hits := 0
-			for seed := uint64(1); seed <= uint64(perScheme); seed++ {
-				rep, err := RunScenario(context.Background(), opts, 4, sc.s, seed)
-				if err != nil {
-					t.Fatal(err)
+	for _, pr := range invariantProtocols {
+		t.Run(pr.name, func(t *testing.T) {
+			for _, fam := range families {
+				perScheme := trials / len(fam.schemes)
+				found := 0
+				for _, sc := range fam.schemes {
+					hits := 0
+					for seed := uint64(1); seed <= uint64(perScheme); seed++ {
+						si, err := GenerateScenario(fam.spec, int64(seed))
+						if err != nil {
+							t.Fatal(err)
+						}
+						cl, err := si.Cluster(4, sc.s, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts := Options{Protocol: pr.p, Eps: 0.2}
+						if pr.p == SimultaneousLow || pr.p == SimultaneousHigh {
+							opts.AvgDegree = si.Graph.AvgDegree()
+						}
+						rep, err := cl.Test(context.Background(), opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !rep.TriangleFree {
+							hits++
+						}
+					}
+					t.Logf("%s, %s: found %d/%d", fam.spec, sc.name, hits, perScheme)
+					found += hits
 				}
-				if !rep.TriangleFree {
-					hits++
+				if lo, _ := stats.Wilson(found, trials); lo < 2.0/3 {
+					t.Errorf("%s: found %d/%d, Wilson 95%% lower bound %.3f < 2/3",
+						fam.spec, found, trials, lo)
 				}
 			}
-			t.Logf("%s, %s: found %d/%d", fam.spec, sc.name, hits, perScheme)
-			found += hits
-		}
-		if lo, _ := stats.Wilson(found, trials); lo < 2.0/3 {
-			t.Errorf("%s: found %d/%d, Wilson 95%% lower bound %.3f < 2/3",
-				fam.spec, found, trials, lo)
-		}
+		})
 	}
 }
 

@@ -58,9 +58,6 @@ type Builder = graph.Builder
 // NewBuilder returns a Builder for a graph on n vertices.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// FromEdges builds a graph on n vertices from an edge list.
-func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
-
 // RandomGraph samples an Erdős–Rényi graph with expected average degree d.
 func RandomGraph(n int, d float64, seed int64) *Graph {
 	return graph.RandomAvgDegree(n, d, rand.New(rand.NewSource(seed)))
@@ -124,9 +121,6 @@ func GenerateScenario(spec string, seed int64) (ScenarioInstance, error) {
 		Spec:         inst.Spec.JSON(),
 	}, nil
 }
-
-// ScenarioNames returns the registered scenario family names, sorted.
-func ScenarioNames() []string { return scenario.Names() }
 
 // ScenarioUsage returns the scenario catalog as usage text (one family
 // per entry with its parameters), generated from the registry.
