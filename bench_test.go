@@ -287,24 +287,22 @@ func BenchmarkBlocks_ApproxDegree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var params []blocks.ApproxParams
 	var vertices []int
 	for v := 0; v < n; v += n / 16 {
 		vertices = append(vertices, v)
-		params = append(params, blocks.DefaultApprox(fmt.Sprintf("bench/%d", v)))
 	}
 	ctx := context.Background()
 	var bits int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := comm.RunOn(ctx, top, func(ctx context.Context, c *comm.Coordinator) error {
-			for j, v := range vertices {
-				if _, err := blocks.ApproxDegree(ctx, c, v, params[j]); err != nil {
+			for _, v := range vertices {
+				if _, err := blocks.ApproxDegree(ctx, c, v, blocks.DefaultApprox()); err != nil {
 					return err
 				}
 			}
 			return nil
-		}, comm.ServeLoop(blocks.Handle))
+		}, blocks.Serve("bench"))
 		if err != nil {
 			b.Fatal(err)
 		}

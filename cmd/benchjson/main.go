@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -86,7 +87,7 @@ func run() error {
 		if flag.NArg() != 2 {
 			return fmt.Errorf("-compare wants exactly two comma-separated report lists, got %d arguments", flag.NArg())
 		}
-		return compareReports(strings.Split(flag.Arg(0), ","), strings.Split(flag.Arg(1), ","), *maxRegress)
+		return compareReports(os.Stdout, strings.Split(flag.Arg(0), ","), strings.Split(flag.Arg(1), ","), *maxRegress)
 	}
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		return err
@@ -157,8 +158,9 @@ func run() error {
 // sides, two sets of benchjson reports, and returns an error when one
 // regressed by more than maxRegress percent in both: outside load slows
 // the median run, one lucky fast run moves the fastest, a real regression
-// moves both. Benchmarks on only one side never fail the comparison.
-func compareReports(oldPaths, newPaths []string, maxRegress float64) error {
+// moves both. A benchmark on only one side prints as new or gone and never
+// fails the comparison, so a change may add or retire ledger entries.
+func compareReports(w io.Writer, oldPaths, newPaths []string, maxRegress float64) error {
 	oldNames, oldNs, err := loadRuns(oldPaths)
 	if err != nil {
 		return err
@@ -173,13 +175,13 @@ func compareReports(oldPaths, newPaths []string, maxRegress float64) error {
 		}
 		return (cur - old) / old * 100
 	}
-	fmt.Printf("%-32s %13s %13s %8s %13s %13s %8s\n",
+	fmt.Fprintf(w, "%-32s %13s %13s %8s %13s %13s %8s\n",
 		"benchmark", "old fastest", "new fastest", "delta", "old median", "new median", "delta")
 	var regressed []string
 	for _, name := range newNames {
 		old, cur := oldNs[name], newNs[name]
 		if old == nil {
-			fmt.Printf("%-32s %13s %13.1f %8s\n", name, "-", stats.Quantile(cur, 0), "new")
+			fmt.Fprintf(w, "%-32s %13s %13.1f %8s\n", name, "-", stats.Quantile(cur, 0), "new")
 			continue
 		}
 		oldFast, curFast := stats.Quantile(old, 0), stats.Quantile(cur, 0)
@@ -190,12 +192,12 @@ func compareReports(oldPaths, newPaths []string, maxRegress float64) error {
 			mark = "  REGRESSION"
 			regressed = append(regressed, name)
 		}
-		fmt.Printf("%-32s %13.1f %13.1f %+7.1f%% %13.1f %13.1f %+7.1f%%%s\n",
+		fmt.Fprintf(w, "%-32s %13.1f %13.1f %+7.1f%% %13.1f %13.1f %+7.1f%%%s\n",
 			name, oldFast, curFast, dFast, oldMed, curMed, dMed, mark)
 	}
 	for _, name := range oldNames {
 		if newNs[name] == nil {
-			fmt.Printf("%-32s %13.1f %13s %8s\n", name, stats.Quantile(oldNs[name], 0), "-", "gone")
+			fmt.Fprintf(w, "%-32s %13.1f %13s %8s\n", name, stats.Quantile(oldNs[name], 0), "-", "gone")
 		}
 	}
 	if len(regressed) > 0 {
@@ -537,16 +539,44 @@ func coreBenchmarks() []namedBench {
 		}},
 		{"blocks/sample-test", func(b *testing.B) {
 			// One player answering one degree-estimator round: m = 300
-			// experiments for a vertex of degree ~20 at guess 2^3, width 1.
+			// experiments for a vertex of degree ~20 at guess 2^3, width 1,
+			// as request 2 of an "unrestricted" run.
 			g := graph.ErdosRenyi(2048, 0.01, rand.New(rand.NewSource(4)))
 			p := &comm.Player{K: 4, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(1), Workers: 1}
-			req := blocks.SampleTestRequest(7, "unrestricted/b3/d417", 2, 300, 3)
+			run := p.Shared.Key("unrestricted")
+			req := blocks.SampleTestRequest(7, 300, 3)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := blocks.Handle(p, req); err != nil {
+				if _, err := blocks.Handle(p, run, 2, req); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}},
+		{"engine/askall-roundtrip", func(b *testing.B) {
+			// One AskAll of a 1-bit request to k = 4 ServeLoop players over
+			// chan links, inside one session: the round trip every block
+			// request pays, without session set-up.
+			top, err := comm.NewTopology(64, make([][]wire.Edge, 4), xrand.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var w wire.Writer
+			w.WriteBool(true)
+			bit := comm.FromWriter(&w)
+			b.ReportAllocs()
+			_, err = comm.RunOn(context.Background(), top, func(ctx context.Context, c *comm.Coordinator) error {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.AskAll(ctx, bit); err != nil {
+						return err
+					}
+				}
+				b.StopTimer()
+				return nil
+			}, comm.ServeLoop(func(*comm.Player, uint64, comm.Msg) (comm.Msg, error) { return bit, nil }))
+			if err != nil {
+				b.Fatal(err)
 			}
 		}},
 		{"scenario/chung-lu", scenarioBench("chung-lu")},

@@ -41,8 +41,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// The run tag is public: the players get it through blocks.Serve, the
+	// coordinator derives the same key, and no request carries it.
+	const runTag = "demo"
 	stats, err := comm.RunOn(context.Background(), top, func(ctx context.Context, c *comm.Coordinator) error {
 		step := costReporter(c)
+		run := c.Shared.Key(runTag)
 
 		// 1. Edge query (dense-model primitive).
 		e := g.Edges()[0]
@@ -55,14 +59,14 @@ func run() error {
 		// 2. Uniform random incident edge — unbiased under duplication via
 		// the shared-permutation trick.
 		hub := maxDegreeVertex(g)
-		inc, ok, err := blocks.RandIncidentEdge(ctx, c, hub, "demo")
+		inc, ok, err := blocks.RandIncidentEdge(ctx, c, run, hub)
 		if err != nil {
 			return err
 		}
 		step(fmt.Sprintf("RandIncidentEdge(hub %d, deg %d) = %v ok=%v", hub, g.Degree(hub), inc, ok))
 
 		// 3. Random walk (sparse-model primitive).
-		path, err := blocks.RandomWalk(ctx, c, hub, 5, "walk")
+		path, err := blocks.RandomWalk(ctx, c, run, hub, 5)
 		if err != nil {
 			return err
 		}
@@ -70,7 +74,7 @@ func run() error {
 
 		// 4. Degree approximation under duplication (Thm 3.1) vs the exact
 		// bitmap protocol — the reason approximation exists.
-		est, err := blocks.ApproxDegree(ctx, c, hub, blocks.DefaultApprox("deg"))
+		est, err := blocks.ApproxDegree(ctx, c, hub, blocks.DefaultApprox())
 		if err != nil {
 			return err
 		}
@@ -82,7 +86,7 @@ func run() error {
 		step(fmt.Sprintf("ExactDegree(hub) = %d — exactness costs Θ(k·n) bits", exact))
 
 		// 5. Distinct elements: |E| under duplication.
-		mEst, err := blocks.ApproxDistinctEdges(ctx, c, blocks.DefaultApprox("m"))
+		mEst, err := blocks.ApproxDistinctEdges(ctx, c, blocks.DefaultApprox())
 		if err != nil {
 			return err
 		}
@@ -95,7 +99,7 @@ func run() error {
 		}
 		step(fmt.Sprintf("BFS from hub visited %d vertices", len(order)))
 		return nil
-	}, comm.ServeLoop(blocks.Handle))
+	}, blocks.Serve(runTag))
 	if err != nil {
 		return err
 	}

@@ -32,12 +32,12 @@ type goldenCase struct {
 var goldenCases = []goldenCase{
 	{name: "interactive-far", n: 512, d: 8, k: 4, seed: 11, far: true,
 		opts: Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 8},
-		free: false, witness: Triangle{A: 167, B: 211, C: 287}, bits: 336511,
-		perPlayer: []int64{84191, 84199, 84072, 84049}, rounds: 340, proto: "unrestricted"},
+		free: false, witness: Triangle{A: 11, B: 62, C: 491}, bits: 183805,
+		perPlayer: []int64{45974, 46029, 45943, 45859}, rounds: 337, proto: "unrestricted"},
 	{name: "interactive-oblivious-far", n: 512, d: 8, k: 4, seed: 12, far: true,
 		opts: Options{Protocol: Interactive, Eps: 0.2},
-		free: false, witness: Triangle{A: 52, B: 285, C: 297}, bits: 327309,
-		perPlayer: []int64{81842, 81791, 81911, 81765}, rounds: 338, proto: "unrestricted"},
+		free: false, witness: Triangle{A: 22, B: 29, C: 101}, bits: 182040,
+		perPlayer: []int64{45520, 45479, 45487, 45554}, rounds: 328, proto: "unrestricted"},
 	{name: "blackboard-far", n: 512, d: 8, k: 4, seed: 13, far: true,
 		opts: Options{Protocol: InteractiveBlackboard, Eps: 0.2, AvgDegree: 8},
 		free: false, witness: Triangle{A: 7, B: 330, C: 415}, bits: 1627,
@@ -64,8 +64,8 @@ var goldenCases = []goldenCase{
 		perPlayer: []int64{1008, 828, 628, 888, 1008, 768}, rounds: 1, proto: "sim-low"},
 	{name: "interactive-free", n: 512, d: 8, k: 4, seed: 19, far: false,
 		opts: Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 8},
-		free: true, bits: 540825,
-		perPlayer: []int64{135451, 135083, 135148, 135143}, rounds: 589, proto: "unrestricted"},
+		free: true, bits: 289324,
+		perPlayer: []int64{72367, 72257, 72400, 72300}, rounds: 585, proto: "unrestricted"},
 	{name: "blackboard-free", n: 512, d: 8, k: 4, seed: 20, far: false,
 		opts: Options{Protocol: InteractiveBlackboard, Eps: 0.2},
 		free: true, bits: 15505,

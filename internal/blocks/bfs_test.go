@@ -152,7 +152,7 @@ func TestExactVsApproxDegreeCost(t *testing.T) {
 		}
 		exactBits = c.Stats().TotalBits - before
 		before = c.Stats().TotalBits
-		if _, err := ApproxDegree(ctx, c, v, DefaultApprox("cmp")); err != nil {
+		if _, err := ApproxDegree(ctx, c, v, DefaultApprox()); err != nil {
 			return err
 		}
 		approxBits = c.Stats().TotalBits - before

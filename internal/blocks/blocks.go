@@ -3,21 +3,31 @@
 //
 // Each block has a coordinator-side function (EdgeQuery, RandIncidentEdge,
 // ApproxDegree, …) and a shared player-side dispatcher (Handle) that
-// composite protocols install via comm.ServeLoop. The blocks are designed
-// for the duplication-tolerant setting: several players may hold the same
-// edge, and the primitives stay unbiased (shared-permutation sampling) and
+// composite protocols install via Serve. The blocks are designed for the
+// duplication-tolerant setting: several players may hold the same edge,
+// and the primitives stay unbiased (shared-permutation sampling) and
 // accurate (cardinality estimation by sampling experiments) regardless.
 //
+// Shared randomness costs no bits. A run has a public tag, and request r
+// of its session (the r-th AskAll, counted from 0) draws from
+// Shared.Key(tag).Child(r). The coordinator counts the requests it sends
+// (comm.Coordinator.Asks) and each player the requests it serves
+// (comm.ServeLoop), so every party derives the same key without a tag on
+// the wire.
+//
 // Opcodes are the first varint of every request; replies are op-specific.
+// A request ends at its last field.
 package blocks
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"tricomm/internal/comm"
 	"tricomm/internal/wire"
+	"tricomm/internal/xrand"
 )
 
 // Opcodes for the player-side dispatcher. Start at 1 so that a zero
@@ -46,39 +56,60 @@ const (
 // ErrBadRequest indicates a malformed request reaching a player.
 var ErrBadRequest = errors.New("blocks: malformed request")
 
+// Serve returns the player function of every protocol composed from these
+// blocks: comm.ServeLoop over Handle under the public run tag. The tag is
+// never sent; each player derives run = Shared.Key(tag) once per session,
+// and the coordinator derives the same key from the same tag.
+func Serve(tag string) comm.PlayerFunc {
+	return func(ctx context.Context, p *comm.Player) error {
+		run := p.Shared.Key(tag)
+		return comm.ServeLoop(func(p *comm.Player, r uint64, req comm.Msg) (comm.Msg, error) {
+			return Handle(p, run, r, req)
+		})(ctx, p)
+	}
+}
+
 // Handle is the player-side dispatcher for every building block in this
-// package. Install it with comm.ServeLoop(blocks.Handle) as the player
-// function of any protocol composed from these blocks.
-func Handle(p *comm.Player, req comm.Msg) (comm.Msg, error) {
-	r := req.Reader()
-	op, err := r.ReadUvarint()
+// package. Request r of a session (its ServeLoop index, equal to the
+// coordinator's Asks() when it sent the request) draws its public
+// randomness from run.Child(r), so no request carries a tag. A request
+// with bits left after its last field is malformed.
+func Handle(p *comm.Player, run xrand.Key, r uint64, req comm.Msg) (comm.Msg, error) {
+	rd := req.Reader()
+	op, err := rd.ReadUvarint()
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: missing opcode: %v", ErrBadRequest, err)
 	}
+	key := run.Child(r)
+	var reply comm.Msg
 	switch op {
 	case opEdgeQuery:
-		return handleEdgeQuery(p, r)
+		reply, err = handleEdgeQuery(p, rd)
 	case opMinRankIncident:
-		return handleMinRankIncident(p, r)
+		reply, err = handleMinRankIncident(p, key, rd)
 	case opCountMSB:
-		return handleCountMSB(p, r)
+		reply, err = handleCountMSB(p, rd)
 	case opSampleTest:
-		return handleSampleTest(p, r)
+		reply, err = handleSampleTest(p, key, rd)
 	case opCountTopBits:
-		return handleCountTopBits(p, r)
+		reply, err = handleCountTopBits(p, rd)
 	case opCollectIncidentSample:
-		return handleCollectIncidentSample(p, r)
+		reply, err = handleCollectIncidentSample(p, key, rd)
 	case opCloseVees:
-		return handleCloseVees(p, r)
+		reply, err = handleCloseVees(p, rd)
 	case opCandidateMinRank:
-		return handleCandidateMinRank(p, r)
+		reply, err = handleCandidateMinRank(p, key, rd)
 	case opNeighbors:
-		return handleNeighbors(p, r)
+		reply, err = handleNeighbors(p, rd)
 	case opNeighborBitmap:
-		return handleNeighborBitmap(p, r)
+		reply, err = handleNeighborBitmap(p, rd)
 	default:
 		return comm.Msg{}, fmt.Errorf("%w: unknown opcode %d", ErrBadRequest, op)
 	}
+	if err == nil && rd.Remaining() > 0 {
+		return comm.Msg{}, fmt.Errorf("%w: %d bits after opcode %d's last field", ErrBadRequest, rd.Remaining(), op)
+	}
+	return reply, err
 }
 
 // parRegion times an intra-phase parallel region for the observability

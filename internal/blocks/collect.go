@@ -31,18 +31,17 @@ func CrossSampleEdgesN(edges []wire.Edge, keyR, keyS xrand.Key, pR, pS float64, 
 
 // CollectIncidentSample gathers the sampled star around v: every player
 // sends the neighbors u of v in its input with u in the shared
-// Bernoulli(prob) sample under tag, truncated to capPerPlayer. This is
-// SampleEdges (Algorithm 4): for a full vertex the sampled arms contain a
-// triangle-vee with high probability (Lemma 3.9, the extended birthday
-// paradox).
-func CollectIncidentSample(ctx context.Context, c *comm.Coordinator, v int, prob float64, capPerPlayer int, tag string) ([]int, error) {
+// Bernoulli(prob) sample under the request's key, truncated to
+// capPerPlayer. This is SampleEdges (Algorithm 4): for a full vertex the
+// sampled arms contain a triangle-vee with high probability (Lemma 3.9,
+// the extended birthday paradox).
+func CollectIncidentSample(ctx context.Context, c *comm.Coordinator, v int, prob float64, capPerPlayer int) ([]int, error) {
 	w := reqWriter(opCollectIncidentSample)
 	if err := wire.NewVertexCodec(c.N).Put(w, v); err != nil {
 		return nil, err
 	}
 	w.WriteUint(floatBits(prob), 64)
 	w.WriteUvarint(uint64(capAsU64(capPerPlayer)))
-	w.WriteBytes([]byte(tag))
 	replies, err := c.AskAll(ctx, comm.FromWriter(w))
 	if err != nil {
 		return nil, err
@@ -65,7 +64,7 @@ func CollectIncidentSample(ctx context.Context, c *comm.Coordinator, v int, prob
 	return arms, nil
 }
 
-func handleCollectIncidentSample(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
+func handleCollectIncidentSample(p *comm.Player, key xrand.Key, r *wire.Reader) (comm.Msg, error) {
 	vc := wire.NewVertexCodec(p.N)
 	v, err := vc.Get(r)
 	if err != nil {
@@ -79,11 +78,6 @@ func handleCollectIncidentSample(p *comm.Player, r *wire.Reader) (comm.Msg, erro
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	key := p.Shared.Key("star/" + string(tagBytes))
 	done := parRegion(p)
 	kept := parwork.Filter(p.Workers, p.View.Neighbors(v), func(_ int, u int32) bool {
 		return key.Bernoulli(uint64(u), prob)
@@ -184,16 +178,17 @@ func handleCloseVees(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 // first vertex (under that order) among its local candidates B̃ᵢʲ for
 // bucket i, and the coordinator returns the global first — a uniform
 // sample from B̃ᵢ = ⋃_j B̃ᵢʲ, unbiased by how many players know each
-// vertex. Returns ok=false if no player has candidates.
-func SampleUniformCandidate(ctx context.Context, c *comm.Coordinator, bucketIdx int, tag string) (int, bool, error) {
+// vertex. The order is the request's key under run, the key of the
+// players' run tag (see Serve). Returns ok=false if no player has
+// candidates.
+func SampleUniformCandidate(ctx context.Context, c *comm.Coordinator, run xrand.Key, bucketIdx int) (int, bool, error) {
 	w := reqWriter(opCandidateMinRank)
 	w.WriteUvarint(uint64(bucketIdx))
-	w.WriteBytes([]byte(tag))
+	key := run.Child(c.Asks())
 	replies, err := c.AskAll(ctx, comm.FromWriter(w))
 	if err != nil {
 		return 0, false, err
 	}
-	key := c.Shared.Key("cand/" + tag)
 	vc := wire.NewVertexCodec(c.N)
 	best, found := -1, false
 	for _, m := range replies {
@@ -216,7 +211,7 @@ func SampleUniformCandidate(ctx context.Context, c *comm.Coordinator, bucketIdx 
 	return best, found, nil
 }
 
-func handleCandidateMinRank(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
+func handleCandidateMinRank(p *comm.Player, key xrand.Key, r *wire.Reader) (comm.Msg, error) {
 	bucketIdx, err := r.ReadUvarint()
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -224,11 +219,6 @@ func handleCandidateMinRank(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	if nb := bucket.NumBuckets(p.N); bucketIdx > uint64(nb) {
 		return comm.Msg{}, fmt.Errorf("%w: bucket %d above %d", ErrBadRequest, bucketIdx, nb)
 	}
-	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	key := p.Shared.Key("cand/" + string(tagBytes))
 	// Fused candidate-scan + min-rank: no candidate slice, and the vertex
 	// scan fans across the player's workers (chunk-local minima folded in
 	// chunk order under the Before total order — same winner at any width).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
 
 	"tricomm/internal/comm"
 	"tricomm/internal/wire"
@@ -21,15 +20,12 @@ type ApproxParams struct {
 	Alpha float64
 	// Tau is the failure probability target.
 	Tau float64
-	// Tag scopes the shared randomness; distinct invocations must use
-	// distinct tags.
-	Tag string
 }
 
 // DefaultApprox returns the default estimator parameters (α = 4,
-// τ = 0.05) under the given randomness tag.
-func DefaultApprox(tag string) ApproxParams {
-	return ApproxParams{Alpha: 4, Tau: 0.05, Tag: tag}
+// τ = 0.05).
+func DefaultApprox() ApproxParams {
+	return ApproxParams{Alpha: 4, Tau: 0.05}
 }
 
 // experiments returns the per-round experiment count m: by a Chernoff
@@ -69,16 +65,6 @@ func CheckAlpha(alpha float64) error {
 	return nil
 }
 
-func (p ApproxParams) validate() error {
-	if err := CheckAlpha(p.Alpha); err != nil {
-		return err
-	}
-	if p.Tag == "" {
-		return fmt.Errorf("blocks: ApproxParams requires a Tag")
-	}
-	return nil
-}
-
 // ApproxDegree estimates deg(v) in the union graph within a factor of
 // prm.Alpha, tolerating arbitrary edge duplication across players
 // (Theorem 3.1). The protocol has two phases:
@@ -88,10 +74,10 @@ func (p ApproxParams) validate() error {
 //     deg(v) within a 2k factor.
 //  2. Guess halving: guesses 2^j descend from 2^⌊log₂ d′⌋ by factors of
 //     √α = 2^s. Each round sends j and runs m shared-randomness sampling
-//     experiments — sample each potential neighbor with probability 2^-j,
-//     players answer one bit per experiment ("did my input hit the
-//     sample?") — and stops at the first guess whose OR-success count
-//     clears the threshold.
+//     experiments under its request's key — sample each potential
+//     neighbor with probability 2^-j, players answer one bit per
+//     experiment ("did my input hit the sample?") — and stops at the
+//     first guess whose OR-success count clears the threshold.
 //
 // Cost Θ(k·log log n + k·log k·m). Returns 0 if v is isolated.
 func ApproxDegree(ctx context.Context, c *comm.Coordinator, v int, prm ApproxParams) (float64, error) {
@@ -108,7 +94,7 @@ func ApproxDistinctEdges(ctx context.Context, c *comm.Coordinator, prm ApproxPar
 // approxCardinality is the common estimator core over an abstract element
 // universe.
 func approxCardinality(ctx context.Context, c *comm.Coordinator, mode countMode, v int, prm ApproxParams) (float64, error) {
-	if err := prm.validate(); err != nil {
+	if err := CheckAlpha(prm.Alpha); err != nil {
 		return 0, err
 	}
 	// Phase 1: MSB exchange.
@@ -139,7 +125,7 @@ func approxCardinality(ctx context.Context, c *comm.Coordinator, mode countMode,
 	m := prm.experiments(rounds)
 	j := math.Ilogb(dPrime) // ⌊log₂ d′⌋
 	for r := 0; r < rounds && j > 0; r++ {
-		succ, err := sampleRound(ctx, c, mode, v, prm.Tag, r, m, j)
+		succ, err := sampleRound(ctx, c, mode, v, m, j)
 		if err != nil {
 			return 0, err
 		}
@@ -159,8 +145,8 @@ func approxCardinality(ctx context.Context, c *comm.Coordinator, mode countMode,
 // sampleRound runs one guessing round of m experiments at guess 2^j and
 // returns the number of experiments in which at least one player's input
 // intersected the shared sample.
-func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int, tag string, round, m, j int) (int, error) {
-	replies, err := c.AskAll(ctx, sampleTestRequest(mode, v, tag, round, m, j))
+func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v, m, j int) (int, error) {
+	replies, err := c.AskAll(ctx, sampleTestRequest(mode, v, m, j))
 	if err != nil {
 		return 0, err
 	}
@@ -184,21 +170,19 @@ func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int
 	return succ, nil
 }
 
-// SampleTestRequest is the request ApproxDegree sends every player in
-// guessing round `round` for vertex v: m experiments at guess 2^j, under
-// the estimator's tag. Benchmarks hand it straight to Handle.
-func SampleTestRequest(v int, tag string, round, m, j int) comm.Msg {
-	return sampleTestRequest(modeDegree, v, tag, round, m, j)
+// SampleTestRequest is the request a guessing round of ApproxDegree sends
+// every player for vertex v: m experiments at guess 2^j. Benchmarks hand
+// it straight to Handle.
+func SampleTestRequest(v, m, j int) comm.Msg {
+	return sampleTestRequest(modeDegree, v, m, j)
 }
 
-func sampleTestRequest(mode countMode, v int, tag string, round, m, j int) comm.Msg {
+func sampleTestRequest(mode countMode, v, m, j int) comm.Msg {
 	w := reqWriter(opSampleTest)
 	w.WriteUvarint(uint64(mode))
 	w.WriteUvarint(uint64(v))
-	w.WriteUvarint(uint64(round))
 	w.WriteUvarint(uint64(m))
 	w.WriteGamma(uint64(j) + 1) // gamma codes start at 1
-	w.WriteBytes([]byte(tag))
 	return comm.FromWriter(w)
 }
 
@@ -213,14 +197,12 @@ func handleCountMSB(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	return comm.FromWriter(&w), nil
 }
 
-func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
+// handleSampleTest answers one guessing round under base, the request's
+// key.
+func handleSampleTest(p *comm.Player, base xrand.Key, r *wire.Reader) (comm.Msg, error) {
 	mode, v, err := readModeVertex(r, p.N)
 	if err != nil {
 		return comm.Msg{}, err
-	}
-	round, err := r.ReadUvarint()
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	m, err := r.ReadUvarint()
 	if err != nil {
@@ -237,17 +219,7 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 		return comm.Msg{}, fmt.Errorf("%w: guess exponent %d exceeds 63", ErrBadRequest, jPlus1-1)
 	}
 	j := int(jPlus1 - 1)
-	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
 	elems := localElements(p, mode, v)
-	// One SHA-256 per request: base = Shared.Key("approx/<tag>/<mode>/<v>/<round>").
-	tagKey := append(append([]byte("approx/"), tagBytes...), '/')
-	tagKey = append(strconv.AppendUint(tagKey, uint64(mode), 10), '/')
-	tagKey = append(strconv.AppendInt(tagKey, int64(v), 10), '/')
-	tagKey = strconv.AppendUint(tagKey, round, 10)
-	base := p.Shared.Key(string(tagKey))
 	// Experiment 64w+b is bit 63−b of word w, the OR over local elements e
 	// of AND_{t<j} base.Child(64w+t).Hash(e): j fair coins, so e is sampled
 	// with probability exactly 2^-j, independently across elements and

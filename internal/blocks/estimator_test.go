@@ -33,7 +33,7 @@ func TestApproxDegreeGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := DefaultApprox("thm31")
+	prm := DefaultApprox()
 	var checked, within int
 	for _, inst := range []struct {
 		name string
@@ -45,7 +45,6 @@ func TestApproxDegreeGuarantee(t *testing.T) {
 				in := 0
 				runCoord(t, inst.g, pt, k, 33, func(ctx context.Context, c *comm.Coordinator) error {
 					for _, v := range vs {
-						prm.Tag = fmt.Sprintf("thm31/%d", v)
 						est, err := ApproxDegree(ctx, c, v, prm)
 						if err != nil {
 							return err
@@ -92,7 +91,7 @@ func degreeSpread(g *graph.Graph, per int) []int {
 // Duplicate{Q: 0.5} at k ∈ {2, 6}. The same Wilson rule applies to the
 // pooled estimates.
 func TestApproxDegreeGuaranteeRegistry(t *testing.T) {
-	prm := DefaultApprox("thm31")
+	prm := DefaultApprox()
 	var checked, within int
 	for i, name := range scenario.Names() {
 		sp, err := scenario.Parse(name)
@@ -122,7 +121,6 @@ func TestApproxDegreeGuaranteeRegistry(t *testing.T) {
 			in := 0
 			_, err := comm.RunOn(context.Background(), newTop(t, g.N(), sp.inputs, shared), func(ctx context.Context, c *comm.Coordinator) error {
 				for _, v := range vs {
-					prm.Tag = fmt.Sprintf("thm31/%d", v)
 					est, err := ApproxDegree(ctx, c, v, prm)
 					if err != nil {
 						return err
@@ -132,7 +130,7 @@ func TestApproxDegreeGuaranteeRegistry(t *testing.T) {
 					}
 				}
 				return nil
-			}, comm.ServeLoop(Handle))
+			}, Serve(testRun))
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, sp.name, err)
 			}

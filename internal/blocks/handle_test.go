@@ -2,7 +2,6 @@ package blocks
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,6 +18,11 @@ import (
 func handlePlayer() *comm.Player {
 	g := graph.FromEdges(8, []wire.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 5, V: 6}})
 	return &comm.Player{ID: 0, K: 2, N: 8, Edges: g.Edges(), View: g, Shared: xrand.New(3), Workers: 1}
+}
+
+// handle feeds one request to Handle as request 0 of a testRun run.
+func handle(p *comm.Player, w *wire.Writer) (comm.Msg, error) {
+	return Handle(p, p.Shared.Key(testRun), 0, comm.FromWriter(w))
 }
 
 // request encodes one request for handlePlayer: the opcode, then the
@@ -41,6 +45,8 @@ func float(f float64) func(*wire.Writer) {
 	return func(w *wire.Writer) { w.WriteUint(math.Float64bits(f), 64) }
 }
 
+// tag writes a request tag as the retired layouts carried it: raw bytes to
+// the end of the request.
 func tag(s string) func(*wire.Writer) { return func(w *wire.Writer) { w.WriteBytes([]byte(s)) } }
 
 // exponent writes a SampleTest guess exponent j as the gamma code of j+1.
@@ -50,13 +56,13 @@ func exponent(j uint64) func(*wire.Writer) { return func(w *wire.Writer) { w.Wri
 func validRequests() []*wire.Writer {
 	return []*wire.Writer{
 		request(opEdgeQuery, vertex(0), vertex(1)),
-		request(opMinRankIncident, vertex(2), tag("t")),
+		request(opMinRankIncident, vertex(2)),
 		request(opCountMSB, uv(uint64(modeDegree)), uv(2)),
-		request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(16), exponent(1), tag("t")),
+		request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(16), exponent(1)),
 		request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(3)),
-		request(opCollectIncidentSample, vertex(2), float(0.5), uv(0), tag("t")),
+		request(opCollectIncidentSample, vertex(2), float(0.5), uv(0)),
 		request(opCloseVees, vertex(2), uv(3), vertex(0), vertex(1), vertex(3)),
-		request(opCandidateMinRank, uv(1), tag("t")),
+		request(opCandidateMinRank, uv(1)),
 		request(opNeighbors, vertex(2)),
 		request(opNeighborBitmap, vertex(2)),
 	}
@@ -69,13 +75,19 @@ var hostileRequests = []struct {
 	w    *wire.Writer
 }{
 	{"count-msb vertex ≥ N", request(opCountMSB, uv(uint64(modeDegree)), uv(8))},
-	{"sample-test vertex ≥ N", request(opSampleTest, uv(uint64(modeDegree)), uv(1<<63), uv(0), uv(16), exponent(1), tag("t"))},
+	{"sample-test vertex ≥ N", request(opSampleTest, uv(uint64(modeDegree)), uv(1<<63), uv(16), exponent(1))},
 	{"count-top-bits vertex ≥ N", request(opCountTopBits, uv(uint64(modeDegree)), uv(9), uv(3))},
-	{"sample-test experiments above cap", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(maxExperiments+1), exponent(1), tag("t"))},
-	{"sample-test exponent above 63", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(16), exponent(64), tag("t"))},
+	{"sample-test experiments above cap", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(maxExperiments+1), exponent(1))},
+	{"sample-test exponent above 63", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(16), exponent(64))},
 	{"top bits ≥ 2^63", request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(1<<63))},
-	{"bucket index 2^40", request(opCandidateMinRank, uv(1<<40), tag("t"))},
-	{"unknown count mode", request(opSampleTest, uv(3), uv(2), uv(0), uv(16), exponent(1), tag("t"))},
+	{"bucket index 2^40", request(opCandidateMinRank, uv(1<<40))},
+	{"unknown count mode", request(opSampleTest, uv(3), uv(2), uv(16), exponent(1))},
+	// The layouts that carried a tag (and SampleTest's round) before
+	// requests were keyed by their index: the tag is now surplus bits.
+	{"tagged min-rank-incident", request(opMinRankIncident, vertex(2), tag("t"))},
+	{"tagged sample-test with round", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(0), uv(16), exponent(1), tag("t"))},
+	{"tagged collect-incident-sample", request(opCollectIncidentSample, vertex(2), float(0.5), uv(0), tag("t"))},
+	{"tagged candidate-min-rank", request(opCandidateMinRank, uv(1), tag("t"))},
 	// No coordinator sends the retired opcodes; each carries its old body.
 	{"retired opcode 3", request(3, tag("t"))},
 	{"retired opcode 7", request(7, float(0.5), uv(0), tag("t"))},
@@ -85,43 +97,51 @@ var hostileRequests = []struct {
 func TestHandleRejectsHostileFields(t *testing.T) {
 	p := handlePlayer()
 	for _, w := range validRequests() {
-		if _, err := Handle(p, comm.FromWriter(w)); err != nil {
+		if _, err := handle(p, w); err != nil {
 			t.Fatalf("valid request rejected: %v", err)
 		}
 	}
 	for _, tc := range hostileRequests {
-		if _, err := Handle(p, comm.FromWriter(tc.w)); !errors.Is(err, ErrBadRequest) {
+		if _, err := handle(p, tc.w); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
+	}
+	// Every request ends at its last field: one more bit is malformed.
+	for i, w := range validRequests() {
+		w.WriteBit(1)
+		if _, err := handle(p, w); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("valid request %d with a trailing bit: err = %v, want ErrBadRequest", i, err)
 		}
 	}
 }
 
 // TestSampleTestKeys pins the player's SampleTest reply to the sampler's
 // formula, independently of the goldens. With base =
-// Shared.Key("approx/<tag>/<mode>/<v>/<round>"), experiment i = 64w+b's
-// bit is set when some local element e has bit 63−b set in every word
-// base.Child(64w+t).Hash(e), t < j. The oracle evaluates that one bit at
-// a time. Width 8 checks that the worker count does not matter.
+// Shared.Key(<run tag>).Child(r) for request index r, experiment
+// i = 64w+b's bit is set when some local element e has bit 63−b set in
+// every word base.Child(64w+t).Hash(e), t < j. The oracle evaluates that
+// one bit at a time. Width 8 checks that the worker count does not matter.
 func TestSampleTestKeys(t *testing.T) {
 	cases := []struct {
-		tag            string
-		mode           countMode
-		v, round, m, j uint64
+		tag        string
+		mode       countMode
+		v, r, m, j uint64
 	}{
 		{"t", modeDegree, 2, 0, 16, 1},
-		{"unrestricted/b3/d417", modeDegree, 0, 3, 300, 0},
+		{"unrestricted", modeDegree, 0, 3, 300, 0},
 		{"", modeDegree, 5, 7, 20, 1},
 		{strings.Repeat("long/", 20), modeDegree, 3, 12, 64, 1},
-		{"e9/417", modeEdges, 0, 1, 100, 2},
-		{"x", modeEdges, 1 << 63, 2, 40, 2}, // v formats as a negative int
+		{"e9", modeEdges, 0, 1, 100, 2},
+		{"x", modeEdges, 1 << 63, 2, 40, 2}, // edge mode takes any v
 		{"none", modeDegree, 1, 0, 0, 1},
+		{"unrestricted", modeDegree, 2, 1 << 40, 130, 3},
 	}
 	for _, workers := range []int{1, 8} {
 		p := handlePlayer()
 		p.Workers = workers
 		for _, tc := range cases {
-			req := request(opSampleTest, uv(uint64(tc.mode)), uv(tc.v), uv(tc.round), uv(tc.m), exponent(tc.j), tag(tc.tag))
-			reply, err := Handle(p, comm.FromWriter(req))
+			req := request(opSampleTest, uv(uint64(tc.mode)), uv(tc.v), uv(tc.m), exponent(tc.j))
+			reply, err := Handle(p, p.Shared.Key(tc.tag), tc.r, comm.FromWriter(req))
 			if err != nil {
 				t.Fatalf("workers %d, tag %q: %v", workers, tc.tag, err)
 			}
@@ -129,7 +149,7 @@ func TestSampleTestKeys(t *testing.T) {
 				t.Fatalf("workers %d, tag %q: reply has %d bits, want %d", workers, tc.tag, got, tc.m)
 			}
 			elems := localElements(p, tc.mode, int(tc.v))
-			base := p.Shared.Key(fmt.Sprintf("approx/%s/%d/%d/%d", tc.tag, tc.mode, int(tc.v), tc.round))
+			base := p.Shared.Key(tc.tag).Child(tc.r)
 			r := reply.Reader()
 			for i := uint64(0); i < tc.m; i++ {
 				w, b := i/64, i%64
@@ -168,10 +188,11 @@ func TestSampleTestRate(t *testing.T) {
 		}
 		g := graph.FromEdges(d+1, star)
 		p := &comm.Player{K: 1, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(5), Workers: 1}
+		run := p.Shared.Key("rate")
 		for _, j := range []int{0, 1, 3, 6, 10} {
 			var set, pairs int
 			for round := 0; round < requests; round++ {
-				reply, err := Handle(p, SampleTestRequest(0, "rate", round, m, j))
+				reply, err := Handle(p, run, uint64(round), SampleTestRequest(0, m, j))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +243,7 @@ func FuzzHandle(f *testing.F) {
 		for i := 0; i < 8*len(data)-int(trim%8); i++ {
 			w.WriteBit(uint(data[i/8]>>(7-i%8)) & 1)
 		}
-		if _, err := Handle(p, comm.FromWriter(&w)); err != nil && !errors.Is(err, ErrBadRequest) {
+		if _, err := handle(p, &w); err != nil && !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("error does not wrap ErrBadRequest: %v", err)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 
 	"tricomm/internal/comm"
 	"tricomm/internal/wire"
+	"tricomm/internal/xrand"
 )
 
 // EdgeQuery implements the dense-model primitive "does edge e exist?":
@@ -43,11 +44,11 @@ func handleEdgeQuery(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	return comm.FromWriter(&w), nil
 }
 
-// edgeRankKey derives the shared random order on the potential edges
-// incident to v for the given tag. The rank of neighbor u is a pure
-// function of (shared randomness, tag, v, u), so all parties agree on the
-// permutation without communication — this is the paper's trick for
-// unbiased incident-edge sampling under duplication.
+// edgeRankElement names the potential edge {v, u} in a request key's
+// random order on the edges incident to v. The rank of neighbor u is a
+// pure function of (shared randomness, run tag, request index, v, u), so
+// all parties agree on the permutation without communication — this is
+// the paper's trick for unbiased incident-edge sampling under duplication.
 func edgeRankElement(v, u int) uint64 { return uint64(v)<<32 | uint64(u) }
 
 // RandIncidentEdge implements the sparse-model primitive "uniform random
@@ -55,20 +56,20 @@ func edgeRankElement(v, u int) uint64 { return uint64(v)<<32 | uint64(u) }
 // potential incident edges; each player reports its first present edge
 // under that order and the coordinator takes the global first. Because the
 // permutation is independent of multiplicity, duplicated edges are not
-// favored. Returns ok=false if no player holds an edge at v.
-// Cost Θ(k·log n).
-func RandIncidentEdge(ctx context.Context, c *comm.Coordinator, v int, tag string) (wire.Edge, bool, error) {
+// favored. The order is the request's key under run, the key of the
+// players' run tag (see Serve). Returns ok=false if no player holds an
+// edge at v. Cost Θ(k·log n).
+func RandIncidentEdge(ctx context.Context, c *comm.Coordinator, run xrand.Key, v int) (wire.Edge, bool, error) {
 	w := reqWriter(opMinRankIncident)
 	vc := wire.NewVertexCodec(c.N)
 	if err := vc.Put(w, v); err != nil {
 		return wire.Edge{}, false, err
 	}
-	w.WriteBytes([]byte(tag))
+	key := run.Child(c.Asks())
 	replies, err := c.AskAll(ctx, comm.FromWriter(w))
 	if err != nil {
 		return wire.Edge{}, false, err
 	}
-	key := c.Shared.Key("incident/" + tag)
 	best, found := -1, false
 	for _, m := range replies {
 		r := m.Reader()
@@ -93,16 +94,11 @@ func RandIncidentEdge(ctx context.Context, c *comm.Coordinator, v int, tag strin
 	return wire.Edge{U: v, V: best}.Canon(), true, nil
 }
 
-func handleMinRankIncident(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
+func handleMinRankIncident(p *comm.Player, key xrand.Key, r *wire.Reader) (comm.Msg, error) {
 	v, err := wire.NewVertexCodec(p.N).Get(r)
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	tagBytes, err := r.ReadBytes(r.Remaining() / 8)
-	if err != nil {
-		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	key := p.Shared.Key("incident/" + string(tagBytes))
 	var best int
 	found := false
 	for _, u := range p.View.Neighbors(v) {
@@ -123,12 +119,13 @@ func handleMinRankIncident(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 // RandomWalk performs a steps-long random walk from start, choosing a
 // uniform random incident edge at every step via RandIncidentEdge. It
 // returns the visited vertices (including start). The walk stops early at
-// an isolated vertex. Cost Θ(k·steps·log n).
-func RandomWalk(ctx context.Context, c *comm.Coordinator, start, steps int, tag string) ([]int, error) {
+// an isolated vertex. Every step is a new request, so it draws a fresh
+// order under run. Cost Θ(k·steps·log n).
+func RandomWalk(ctx context.Context, c *comm.Coordinator, run xrand.Key, start, steps int) ([]int, error) {
 	path := []int{start}
 	cur := start
 	for s := 0; s < steps; s++ {
-		e, ok, err := RandIncidentEdge(ctx, c, cur, fmt.Sprintf("%s/step%d", tag, s))
+		e, ok, err := RandIncidentEdge(ctx, c, run, cur)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ func BenchmarkAskAllRoundTrip(b *testing.B) {
 				}
 				return nil
 			},
-			ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+			ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) { return Ack(), nil }))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func TestRunRequestReply(t *testing.T) {
 			}
 			return nil
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
+		ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) {
 			var w wire.Writer
 			w.WriteUvarint(uint64(len(p.Edges)))
 			return FromWriter(&w), nil
@@ -137,7 +137,7 @@ func TestRunPlayerViews(t *testing.T) {
 			_, err := c.AskAll(ctx, Ack())
 			return err
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
+		ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) {
 			if p.View.M() != len(p.Edges) {
 				return Msg{}, fmt.Errorf("view edges %d != input %d", p.View.M(), len(p.Edges))
 			}
@@ -282,7 +282,7 @@ func TestRunCoordinatorErrorPropagates(t *testing.T) {
 	wantErr := errors.New("coordinator exploded")
 	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error { return wantErr },
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+		ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) { return Ack(), nil }))
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
@@ -314,7 +314,7 @@ func TestMultiRoundProtocol(t *testing.T) {
 			}
 			return nil
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+		ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) { return Ack(), nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +323,39 @@ func TestMultiRoundProtocol(t *testing.T) {
 	}
 	if stats.TotalBits != 3*3*2 { // 3 rounds × 3 players × (1 down + 1 up)
 		t.Fatalf("total bits = %d, want 18", stats.TotalBits)
+	}
+}
+
+// TestServeLoopIndexMatchesAsks checks the request numbering public
+// randomness is keyed by: the index ServeLoop hands its handler equals the
+// coordinator's Asks() before the AskAll that sent the request.
+func TestServeLoopIndexMatchesAsks(t *testing.T) {
+	top := testTopology(t, 6, 3)
+	_, err := RunOn(context.Background(), top,
+		func(ctx context.Context, c *Coordinator) error {
+			for i := uint64(0); i < 5; i++ {
+				if c.Asks() != i {
+					return fmt.Errorf("Asks() = %d before request %d", c.Asks(), i)
+				}
+				replies, err := c.AskAll(ctx, Ack())
+				if err != nil {
+					return err
+				}
+				for j, m := range replies {
+					if r, err := m.Reader().ReadUvarint(); err != nil || r != i {
+						return fmt.Errorf("request %d: player %d saw index %d (%v)", i, j, r, err)
+					}
+				}
+			}
+			return nil
+		},
+		ServeLoop(func(p *Player, r uint64, _ Msg) (Msg, error) {
+			var w wire.Writer
+			w.WriteUvarint(r)
+			return FromWriter(&w), nil
+		}))
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -339,7 +372,7 @@ func TestPerPlayerAccounting(t *testing.T) {
 			_, err := c.Recv(ctx, 0)
 			return err
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
+		ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) {
 			var w wire.Writer
 			w.WriteUint(0, 6)
 			return FromWriter(&w), nil

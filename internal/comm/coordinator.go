@@ -105,7 +105,8 @@ type Coordinator struct {
 	links []transport.Conn
 	pdone []<-chan struct{} // closed when the player goroutine exits
 	meter *Meter
-	seq   bool // sequential fan-out (regression-testing knob)
+	seq   bool   // sequential fan-out (regression-testing knob)
+	asks  uint64 // AskAll calls so far
 }
 
 // linkErr maps a transport failure on player j's link to the
@@ -270,14 +271,22 @@ func (c *Coordinator) Gather(ctx context.Context) ([]Msg, error) {
 }
 
 // AskAll sends m to every player and gathers all replies, counting one
-// round.
+// round and one request (see Asks).
 func (c *Coordinator) AskAll(ctx context.Context, m Msg) ([]Msg, error) {
+	c.asks++
 	c.Round()
 	if err := c.Broadcast(ctx, m); err != nil {
 		return nil, err
 	}
 	return c.Gather(ctx)
 }
+
+// Asks returns the number of AskAll calls the session has made: the index
+// ServeLoop hands every player with the next request. The two counts agree
+// while the coordinator reaches ServeLoop players only through AskAll,
+// since a link delivers each frame exactly once and in order (a hardened
+// link retransmits and deduplicates below the engine).
+func (c *Coordinator) Asks() uint64 { return c.asks }
 
 // Round declares the start of a new protocol round (for accounting only).
 func (c *Coordinator) Round() { c.meter.AddRound() }
@@ -477,10 +486,12 @@ func CheckWire(s Stats) error {
 
 // ServeLoop is a convenience player main loop: it calls handle for every
 // coordinator message and sends back the reply, exiting cleanly on
-// shutdown. Most request/reply protocols use it directly.
-func ServeLoop(handle func(p *Player, req Msg) (Msg, error)) PlayerFunc {
+// shutdown. Most request/reply protocols use it directly. handle gets the
+// request's index r in the session, counted from 0; it equals the
+// coordinator's Asks() before the AskAll that sent the request.
+func ServeLoop(handle func(p *Player, r uint64, req Msg) (Msg, error)) PlayerFunc {
 	return func(ctx context.Context, p *Player) error {
-		for {
+		for r := uint64(0); ; r++ {
 			req, err := p.Recv(ctx)
 			if err != nil {
 				if errors.Is(err, ErrShutdown) {
@@ -488,7 +499,7 @@ func ServeLoop(handle func(p *Player, req Msg) (Msg, error)) PlayerFunc {
 				}
 				return err
 			}
-			reply, err := handle(p, req)
+			reply, err := handle(p, r, req)
 			if err != nil {
 				return err
 			}

@@ -31,7 +31,7 @@ func TestTopologyViewCacheReuse(t *testing.T) {
 			_, err := c.AskAll(ctx, Ack())
 			return err
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
+		ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) {
 			if p.ID == 0 {
 				fromRun = p.View
 			}
@@ -93,7 +93,7 @@ func chatter(rounds int) (CoordinatorFunc, PlayerFunc) {
 		}
 		return nil
 	}
-	player := ServeLoop(func(p *Player, req Msg) (Msg, error) {
+	player := ServeLoop(func(p *Player, _ uint64, req Msg) (Msg, error) {
 		r, err := req.Reader().ReadUvarint()
 		if err != nil {
 			return Msg{}, err
@@ -248,7 +248,7 @@ func TestMeterPhaseAttribution(t *testing.T) {
 			_, err := c.AskAll(ctx, Ack())
 			return err
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+		ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) { return Ack(), nil }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestWireBytesExact(t *testing.T) {
 		repBits = replies[0].Bits()
 		return nil
 	}
-	player := ServeLoop(func(p *Player, req Msg) (Msg, error) {
+	player := ServeLoop(func(p *Player, _ uint64, req Msg) (Msg, error) {
 		var w wire.Writer
 		w.WriteUint(0x1ffff, 17) // 17-bit reply
 		return FromWriter(&w), nil
@@ -131,7 +131,7 @@ func TestShutdownOverSocketTransports(t *testing.T) {
 						_, err := c.AskAll(ctx, Ack())
 						return err
 					},
-					ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+					ServeLoop(func(p *Player, _ uint64, _ Msg) (Msg, error) { return Ack(), nil }))
 				done <- err
 			}()
 			select {

@@ -408,14 +408,14 @@ func e9ApproxDegree() Experiment {
 				}
 				_, err = comm.RunOn(ctx, top,
 					func(ctx context.Context, c *comm.Coordinator) error {
-						est, err := blocks.ApproxDegree(ctx, c, v, blocks.DefaultApprox(fmt.Sprintf("e9/%d", v)))
+						est, err := blocks.ApproxDegree(ctx, c, v, blocks.DefaultApprox())
 						if err != nil {
 							return err
 						}
 						r.dupEst = est
 						r.dupBits = c.Stats().TotalBits
 						return nil
-					}, comm.ServeLoop(blocks.Handle))
+					}, blocks.Serve("e9"))
 				if err != nil {
 					return row{}, err
 				}
@@ -433,7 +433,7 @@ func e9ApproxDegree() Experiment {
 						r.nodupEst = est
 						r.nodupBits = c.Stats().TotalBits
 						return nil
-					}, comm.ServeLoop(blocks.Handle))
+					}, blocks.Serve("e9"))
 				if err != nil {
 					return row{}, err
 				}

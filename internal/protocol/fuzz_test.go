@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"tricomm/internal/comm"
@@ -63,4 +64,74 @@ func FuzzReferee(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRefereeAllocationBound feeds each simultaneous referee k messages
+// whose edge-list count (or, for SimOblivious, instance count) claims far
+// more edges than the message holds, up to 2^40. Each must fail with a
+// wire decode error and allocate at most c₁·(message bits) + c₂·n bytes:
+// a decoder that trusted the count would allocate for every claimed edge.
+func TestRefereeAllocationBound(t *testing.T) {
+	const n, k = 4096, 4
+	const c1, c2 = 64, 64 // bytes per message bit, bytes per vertex
+	ec := wire.NewEdgeCodec(n)
+	filler := make([]wire.Edge, 20)
+	for i := range filler {
+		filler[i] = wire.Edge{U: i, V: i + 1}
+	}
+	// list writes an edge list whose count claims `claim` edges but which
+	// holds only the filler.
+	list := func(w *wire.Writer, claim uint64) {
+		w.WriteUvarint(claim)
+		for _, e := range filler {
+			if err := ec.Put(w, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name   string
+		decode func(n int) func(comm.Msg) ([]wire.Edge, error)
+		write  func(w *wire.Writer, claim uint64)
+	}{
+		{"plain", decodeEdgeList, list},
+		{"oblivious edge count", decodeInstanceLists, func(w *wire.Writer, claim uint64) {
+			w.WriteUvarint(1) // one instance
+			w.WriteUvarint(3) // its guess exponent
+			list(w, claim)
+		}},
+		{"oblivious instance count", decodeInstanceLists, func(w *wire.Writer, claim uint64) {
+			w.WriteUvarint(claim)
+			list(w, 0)
+		}},
+	}
+	for _, tc := range cases {
+		for _, claim := range []uint64{1 << 22, 1 << 40} {
+			msgs := make([]comm.Msg, k)
+			bits := 0
+			for j := range msgs {
+				var w wire.Writer
+				tc.write(&w, claim)
+				msgs[j] = comm.FromWriter(&w)
+				bits += msgs[j].Bits()
+			}
+			// The least growth of three runs: another goroutine's
+			// allocation can only add to one reading.
+			grew := ^uint64(0)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := simRefereeResult(n, msgs, tc.decode(n), 1)
+				runtime.ReadMemStats(&after)
+				grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+				if !errors.Is(err, wire.ErrShortMessage) && !errors.Is(err, wire.ErrVertexRange) {
+					t.Fatalf("%s, claim %d: err = %v, want a wire decode error", tc.name, claim, err)
+				}
+			}
+			if limit := uint64(c1*bits + c2*n); grew > limit {
+				t.Errorf("%s, claim %d: allocated %d bytes for %d message bits at n = %d, above %d", tc.name, claim, grew, bits, n, limit)
+			}
+			t.Logf("%s, claim %d: %d bytes for %d message bits", tc.name, claim, grew, bits)
+		}
+	}
 }

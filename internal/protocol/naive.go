@@ -24,7 +24,8 @@ type NaiveUniform struct {
 	Samples int
 	// Tunables are shared with Unrestricted.
 	Tunables UnrestrictedTunables
-	// Tag scopes the shared randomness.
+	// Tag is the public run tag that scopes the shared randomness
+	// (default "naive"); it is never sent.
 	Tag string
 }
 
@@ -59,9 +60,7 @@ func (p NaiveUniform) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 		sqrtA := math.Sqrt(t.DegreeAlpha)
 		for i := 0; i < samples; i++ {
 			v := int(key.Hash(uint64(i)) % uint64(c.N))
-			dEst, err := blocks.ApproxDegree(ctx, c, v, blocks.ApproxParams{
-				Alpha: t.DegreeAlpha, Tau: 0.02, Tag: fmt.Sprintf("%s/d%d", tag, i),
-			})
+			dEst, err := blocks.ApproxDegree(ctx, c, v, blocks.ApproxParams{Alpha: t.DegreeAlpha, Tau: 0.02})
 			if err != nil {
 				return err
 			}
@@ -73,8 +72,7 @@ func (p NaiveUniform) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 				prob = 1
 			}
 			capPer := int(math.Ceil(t.CapSlack * sqrtA * dEst * prob))
-			arms, err := blocks.CollectIncidentSample(ctx, c, v, prob, capPer,
-				fmt.Sprintf("%s/e%d", tag, i))
+			arms, err := blocks.CollectIncidentSample(ctx, c, v, prob, capPer)
 			if err != nil {
 				return err
 			}
@@ -93,7 +91,7 @@ func (p NaiveUniform) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 		}
 		return nil
 	}
-	stats, err := comm.RunOn(ctx, top, coord, comm.ServeLoop(blocks.Handle))
+	stats, err := comm.RunOn(ctx, top, coord, blocks.Serve(tag))
 	res.Stats = stats
 	if err != nil {
 		return res, err

@@ -10,6 +10,7 @@ import (
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
+	"tricomm/internal/xrand"
 )
 
 // UnrestrictedTunables exposes the constant factors of the unrestricted
@@ -65,7 +66,9 @@ type Unrestricted struct {
 	AssumeDisjoint bool
 	// Tunables are the constant factors; zero value means defaults.
 	Tunables UnrestrictedTunables
-	// Tag scopes the shared randomness of this run.
+	// Tag is the public run tag that scopes the shared randomness of this
+	// run (default "unrestricted"). Every party derives it; it is never
+	// sent.
 	Tag string
 }
 
@@ -107,6 +110,9 @@ func (u Unrestricted) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
+	if u.Tag == "" {
+		u.Tag = "unrestricted"
+	}
 	res := Result{Verdict: TriangleFree}
 	coord := func(ctx context.Context, c *comm.Coordinator) error {
 		r, err := u.runCoordinator(ctx, c, t)
@@ -118,7 +124,7 @@ func (u Unrestricted) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 		res.Phases = r.Phases
 		return nil
 	}
-	stats, err := comm.RunOn(ctx, top, coord, comm.ServeLoop(blocks.Handle))
+	stats, err := comm.RunOn(ctx, top, coord, blocks.Serve(u.Tag))
 	res.Stats = stats
 	if err != nil {
 		return res, err
@@ -133,10 +139,7 @@ func (u Unrestricted) runCoordinator(ctx context.Context, c *comm.Coordinator, t
 	if lnN < 1 {
 		lnN = 1
 	}
-	tag := u.Tag
-	if tag == "" {
-		tag = "unrestricted"
-	}
+	run := c.Shared.Key(u.Tag)
 
 	// Degree window: use the known average degree, or estimate a
 	// 4-approximation (Corollary 3.22) and widen the window accordingly.
@@ -144,9 +147,7 @@ func (u Unrestricted) runCoordinator(ctx context.Context, c *comm.Coordinator, t
 	d := u.AvgDegree
 	slack := 1.0
 	if d <= 0 {
-		est, err := blocks.ApproxDistinctEdges(ctx, c, blocks.ApproxParams{
-			Alpha: t.DegreeAlpha, Tau: 0.05, Tag: tag + "/m",
-		})
+		est, err := blocks.ApproxDistinctEdges(ctx, c, blocks.ApproxParams{Alpha: t.DegreeAlpha, Tau: 0.05})
 		if err != nil {
 			return res, err
 		}
@@ -168,7 +169,7 @@ func (u Unrestricted) runCoordinator(ctx context.Context, c *comm.Coordinator, t
 	sqrtA := math.Sqrt(t.DegreeAlpha)
 
 	for i := lo; i <= hi; i++ {
-		tri, found, err := u.findTriangleVee(ctx, c, i, q, keep, sqrtA, lnN, tag, t)
+		tri, found, err := u.findTriangleVee(ctx, c, run, i, q, keep, sqrtA, lnN, t)
 		if err != nil {
 			return res, err
 		}
@@ -198,8 +199,8 @@ func attributePhases(res *Result, stats comm.Stats) {
 // candidates, then sample each candidate's incident edges and try to close
 // a vee.
 func (u Unrestricted) findTriangleVee(
-	ctx context.Context, c *comm.Coordinator,
-	bucketIdx, q, keep int, sqrtA, lnN float64, tag string, t UnrestrictedTunables,
+	ctx context.Context, c *comm.Coordinator, run xrand.Key,
+	bucketIdx, q, keep int, sqrtA, lnN float64, t UnrestrictedTunables,
 ) (tri graph.Triangle, found bool, err error) {
 	type cand struct {
 		v    int
@@ -213,8 +214,7 @@ func (u Unrestricted) findTriangleVee(
 	// additive term, metered under the "candidates" phase.
 	c.BeginPhase("candidates")
 	for count := 0; count < q && len(cands) < keep; count++ {
-		v, ok, serr := blocks.SampleUniformCandidate(ctx, c, bucketIdx,
-			fmt.Sprintf("%s/b%d/s%d", tag, bucketIdx, count))
+		v, ok, serr := blocks.SampleUniformCandidate(ctx, c, run, bucketIdx)
 		if serr != nil {
 			return tri, false, serr
 		}
@@ -232,9 +232,7 @@ func (u Unrestricted) findTriangleVee(
 			// under-counts, by at most a (1 + 2^{1-topBits}) = 1.5 factor.
 			dEst, derr = blocks.ApproxDegreeNoDup(ctx, c, v, 2)
 		} else {
-			dEst, derr = blocks.ApproxDegree(ctx, c, v, blocks.ApproxParams{
-				Alpha: t.DegreeAlpha, Tau: 0.02, Tag: fmt.Sprintf("%s/b%d/d%d", tag, bucketIdx, v),
-			})
+			dEst, derr = blocks.ApproxDegree(ctx, c, v, blocks.ApproxParams{Alpha: t.DegreeAlpha, Tau: 0.02})
 		}
 		if derr != nil {
 			return tri, false, derr
@@ -252,7 +250,7 @@ func (u Unrestricted) findTriangleVee(
 	// SampleEdges + close (Algorithms 4–5) — the k·(nd)^{1/4} term,
 	// metered under the "edges" phase.
 	c.BeginPhase("edges")
-	for ci, cd := range cands {
+	for _, cd := range cands {
 		dHat := cd.dEst
 		if dHat < 2 {
 			dHat = 2
@@ -262,8 +260,7 @@ func (u Unrestricted) findTriangleVee(
 			p = 1
 		}
 		capPer := int(math.Ceil(t.CapSlack * sqrtA * dHat * p))
-		arms, aerr := blocks.CollectIncidentSample(ctx, c, cd.v, p, capPer,
-			fmt.Sprintf("%s/b%d/e%d", tag, bucketIdx, ci))
+		arms, aerr := blocks.CollectIncidentSample(ctx, c, cd.v, p, capPer)
 		if aerr != nil {
 			return tri, false, aerr
 		}

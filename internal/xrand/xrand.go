@@ -13,9 +13,10 @@
 // A key is the first 8 bytes, read little-endian, of
 // SHA-256(seed‖0x02‖tag), where seed is the 32-byte root New hashes from
 // the 64-bit seed. Keys of many sub-experiments come from one such key by
-// Key.Child, one splitmix64 step each: the degree estimator's word w of
-// experiments hashes under Shared.Key("approx/<tag>/<mode>/<v>/<round>")
-// .Child(64w+t), t < j, so a round costs one SHA-256 however many it runs.
+// Key.Child, one splitmix64 step each. A coordinator-model session hashes
+// once per party: request r of a run keys its randomness as
+// Shared.Key(<run tag>).Child(r), and the degree estimator's word w of
+// experiments in that request hashes under .Child(r).Child(64w+t), t < j.
 //
 // Point queries are O(1): Key.Rank gives each element a pseudo-random rank
 // inducing a uniform permutation, and Key.Bernoulli answers "is element x in
@@ -74,12 +75,6 @@ func (s *Shared) Key(tag string) Key {
 // call returns an independent stream positioned at the start.
 func (s *Shared) Stream(tag string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(s.Key(tag))))
-}
-
-// Perm returns a uniformly random permutation of [0,n) determined by tag.
-// All parties calling Perm with the same tag obtain the same permutation.
-func (s *Shared) Perm(tag string, n int) []int {
-	return s.Stream(tag).Perm(n)
 }
 
 // Key is a 64-bit key for stateless point-query randomness. All methods are

