@@ -579,6 +579,25 @@ func coreBenchmarks() []namedBench {
 				b.Fatal(err)
 			}
 		}},
+		{"engine/null-session", func(b *testing.B) {
+			// One RunOn at k = 4 over chan links whose coordinator returns
+			// at once: dial, k player goroutines and teardown, the fixed
+			// cost of a session without its rounds.
+			top, err := comm.NewTopology(64, make([][]wire.Edge, 4), xrand.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			coord := func(context.Context, *comm.Coordinator) error { return nil }
+			player := comm.ServeLoop(func(*comm.Player, uint64, comm.Msg) (comm.Msg, error) { return comm.Msg{}, nil })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := comm.RunOn(ctx, top, coord, player); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"scenario/chung-lu", scenarioBench("chung-lu")},
 		{"scenario/sbm", scenarioBench("sbm")},
 		{"scenario/behrend-blowup", scenarioBench("behrend-blowup")},

@@ -36,15 +36,17 @@
 // wire-byte counters sit alongside the bit meter, cross-checked by
 // CheckWire on every successful run.
 //
-// The coordinator model's Broadcast/Gather/AskAll fan out and fan in
-// concurrently over the links (with a non-blocking fast path on transports
-// that support it) instead of serializing k unicasts in player order; cost
-// accounting is order-independent (per-message atomic adds), so on
-// successful runs Stats are bit-identical to a sequential schedule — and
-// to every other transport — a property the regression tests pin down. On
-// error paths the snapshot is best-effort: a message sent concurrently
-// with a player's failure may be metered even though the player never
-// drained it.
+// The coordinator model has one round primitive, AskAll. On the
+// coordinator goroutine it sends the request to players 0..k−1 in order,
+// then receives their replies in the same order. The paper's cost is the
+// bits on the k private channels, not the order they cross in, and every
+// transport buffers a frame per direction, so no send waits on a player.
+// Stats are bit-identical on every transport, a property the regression
+// tests pin down. A player that fails cancels its session, so a
+// coordinator waiting on another, silent player unwinds instead of
+// hanging. On error paths the snapshot is best-effort: a message sent
+// just before a player's failure may be metered even though the player
+// never drained it.
 //
 // Every message is a bit string produced by package wire, so the metered
 // cost is exactly the information-theoretic message length the paper's

@@ -88,9 +88,8 @@ func (p *Player) Send(ctx context.Context, m Msg) error {
 type PlayerFunc func(ctx context.Context, p *Player) error
 
 // Coordinator is the coordinator's endpoint: a private transport link to
-// every player plus the shared randomness. Single-message Send/Recv are
-// used from the coordinator goroutine only; Broadcast, Gather, and AskAll
-// fan out internally but present the same single-goroutine interface.
+// every player plus the shared randomness. It is used from the
+// coordinator goroutine only: Send, Recv and AskAll all run on it.
 type Coordinator struct {
 	// K is the number of players.
 	K int
@@ -105,7 +104,6 @@ type Coordinator struct {
 	links []transport.Conn
 	pdone []<-chan struct{} // closed when the player goroutine exits
 	meter *Meter
-	seq   bool   // sequential fan-out (regression-testing knob)
 	asks  uint64 // AskAll calls so far
 }
 
@@ -129,11 +127,12 @@ func (c *Coordinator) linkErr(ctx context.Context, j int, err error) error {
 // Send transmits a message to player j. It returns ErrPlayerDone if the
 // player goroutine has already exited — checked up front, so a dead
 // player is reported deterministically instead of the message slipping
-// into the link's buffer.
+// into the link's buffer. The exit is mapped like a closed link, so a
+// player that left because the run was canceled reports ErrCanceled.
 func (c *Coordinator) Send(ctx context.Context, j int, m Msg) error {
 	select {
 	case <-c.pdone[j]:
-		return fmt.Errorf("%w: player %d", ErrPlayerDone, j)
+		return c.linkErr(ctx, j, transport.ErrClosed)
 	default:
 	}
 	if err := c.links[j].Send(ctx, frameOf(m)); err != nil {
@@ -155,130 +154,29 @@ func (c *Coordinator) Recv(ctx context.Context, j int) (Msg, error) {
 	return msgOf(f), nil
 }
 
-// firstErr returns the lowest-indexed non-nil error, so the concurrent
-// fan-out reports the same error a sequential player-order loop would.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Broadcast sends m to every player concurrently. In the coordinator model
-// a broadcast is k unicasts and is charged k·|m| bits; per-message atomic
-// metering makes the accounting identical to the sequential schedule.
-func (c *Coordinator) Broadcast(ctx context.Context, m Msg) error {
-	if c.seq {
-		for j := 0; j < c.K; j++ {
-			if err := c.Send(ctx, j, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Fast path: on transports with free buffer space an idle player costs
-	// no goroutine. A player that has already exited is routed to the slow
-	// path so Send reports ErrPlayerDone instead of depositing into its
-	// dead buffer; so is any link whose transport cannot accept the frame
-	// without blocking.
-	f := frameOf(m)
-	var pending []int
-	for j := 0; j < c.K; j++ {
-		select {
-		case <-c.pdone[j]:
-			pending = append(pending, j)
-			continue
-		default:
-		}
-		if ts, ok := c.links[j].(transport.TrySender); ok && ts.TrySend(f) {
-			c.meter.AddDown(j, m.Bits())
-			continue
-		}
-		pending = append(pending, j)
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	errs := make([]error, len(pending))
-	var wg sync.WaitGroup
-	for i, j := range pending {
-		wg.Add(1)
-		go func(i, j int) {
-			defer wg.Done()
-			errs[i] = c.Send(ctx, j, m)
-		}(i, j)
-	}
-	wg.Wait()
-	return firstErr(errs)
-}
-
-// Gather receives one message from every player concurrently; the returned
-// slice is in player order regardless of arrival order.
-func (c *Coordinator) Gather(ctx context.Context) ([]Msg, error) {
-	msgs := make([]Msg, c.K)
-	if c.seq {
-		for j := 0; j < c.K; j++ {
-			m, err := c.Recv(ctx, j)
-			if err != nil {
-				return nil, err
-			}
-			msgs[j] = m
-		}
-		return msgs, nil
-	}
-	// Fast path: drain replies already delivered to the links.
-	var pending []int
-	for j := 0; j < c.K; j++ {
-		if tr, ok := c.links[j].(transport.TryReceiver); ok {
-			if f, got := tr.TryRecv(); got {
-				c.meter.AddUp(j, f.Bits)
-				msgs[j] = msgOf(f)
-				continue
-			}
-		}
-		pending = append(pending, j)
-	}
-	if len(pending) == 0 {
-		return msgs, nil
-	}
-	// Fan in concurrently, returning on the first failure so that a dead
-	// player aborts the round even while another player never replies —
-	// waiting for all k would deadlock the session on that player.
-	// Receivers still parked in Recv when an error wins unwind at session
-	// shutdown; the result channel is buffered so they never block on it.
-	type gathered struct {
-		j   int
-		m   Msg
-		err error
-	}
-	ch := make(chan gathered, len(pending))
-	for _, j := range pending {
-		go func(j int) {
-			m, err := c.Recv(ctx, j)
-			ch <- gathered{j: j, m: m, err: err}
-		}(j)
-	}
-	for range pending {
-		g := <-ch
-		if g.err != nil {
-			return nil, g.err
-		}
-		msgs[g.j] = g.m
-	}
-	return msgs, nil
-}
-
-// AskAll sends m to every player and gathers all replies, counting one
-// round and one request (see Asks).
+// AskAll sends m to every player, then receives one reply from every
+// player, both in player order, counting one round and one request (see
+// Asks). The request crosses k private channels, so it is charged k·|m|
+// bits. Every transport buffers a frame per direction, so no Send waits
+// on a player. A player that fails cancels the session (RunOn), so a Recv
+// waiting on another, silent player returns instead of hanging.
 func (c *Coordinator) AskAll(ctx context.Context, m Msg) ([]Msg, error) {
 	c.asks++
 	c.Round()
-	if err := c.Broadcast(ctx, m); err != nil {
-		return nil, err
+	for j := 0; j < c.K; j++ {
+		if err := c.Send(ctx, j, m); err != nil {
+			return nil, err
+		}
 	}
-	return c.Gather(ctx)
+	replies := make([]Msg, c.K)
+	for j := range replies {
+		r, err := c.Recv(ctx, j)
+		if err != nil {
+			return nil, err
+		}
+		replies[j] = r
+	}
+	return replies, nil
 }
 
 // Asks returns the number of AskAll calls the session has made: the index
@@ -331,35 +229,17 @@ func (c *Coordinator) addWire(s *Stats) {
 // cluster shuts down: players blocked in Recv observe ErrShutdown.
 type CoordinatorFunc func(ctx context.Context, c *Coordinator) error
 
-// RunOption tweaks a session's execution strategy (never its accounting).
-type RunOption func(*runOpts)
-
-type runOpts struct {
-	seqFanout bool
-}
-
-// SequentialFanout makes Broadcast/Gather serialize their k unicasts in
-// player order. It exists for regression tests and benchmarks comparing
-// the two schedules; on successful runs, results and Stats are identical
-// either way.
-func SequentialFanout() RunOption {
-	return func(o *runOpts) { o.seqFanout = true }
-}
-
 // RunOn executes one protocol in the coordinator model over top: it opens
 // one transport link per player from the topology's dialer, spawns one
 // goroutine per player running player, executes coord in the calling
 // goroutine, then shuts the players down and waits for them. The first
 // non-shutdown error from any party is returned alongside the cost
-// snapshot. Player views come from the topology's cache. On successful
-// runs the wire-byte counters are cross-checked against the bit meter
-// (CheckWire).
-func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player PlayerFunc, opts ...RunOption) (Stats, error) {
+// snapshot; a player's error also cancels the session's context, which
+// unblocks every other party. Player views come from the topology's
+// cache. On successful runs the wire-byte counters are cross-checked
+// against the bit meter (CheckWire).
+func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player PlayerFunc) (Stats, error) {
 	start := time.Now()
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
 	dial := top.Transport()
 	k := top.K()
 	meter := NewMeter(k)
@@ -393,7 +273,6 @@ func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player Pla
 		links:   make([]transport.Conn, k),
 		pdone:   make([]<-chan struct{}, k),
 		meter:   meter,
-		seq:     o.seqFanout,
 	}
 	for j := 0; j < k; j++ {
 		c.links[j] = links[j].A
@@ -401,6 +280,8 @@ func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player Pla
 		c.pdone[j] = pdone[j]
 	}
 
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	errs := make(chan error, k)
 	var wg sync.WaitGroup
 	for j := 0; j < k; j++ {
@@ -424,7 +305,10 @@ func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player Pla
 			defer links[p.ID].B.Close()
 			defer close(pdone[p.ID])
 			if err := player(ctx, p); err != nil && !errors.Is(err, ErrShutdown) {
+				// Queue the cause before canceling: every party the
+				// cancel unblocks fails after it, so it stays first.
 				errs <- fmt.Errorf("player %d: %w", p.ID, err)
+				cancel()
 			}
 		}()
 	}

@@ -71,7 +71,7 @@ func TestTopologyViewConcurrentAccess(t *testing.T) {
 }
 
 // chatter is a synthetic multi-round protocol with per-player
-// variable-size replies, exercising Broadcast/Gather/AskAll fan-out.
+// variable-size replies, exercising AskAll.
 func chatter(rounds int) (CoordinatorFunc, PlayerFunc) {
 	coord := func(ctx context.Context, c *Coordinator) error {
 		for r := 0; r < rounds; r++ {
@@ -105,28 +105,6 @@ func chatter(rounds int) (CoordinatorFunc, PlayerFunc) {
 	return coord, player
 }
 
-func TestConcurrentFanoutMatchesSequentialStats(t *testing.T) {
-	// The regression the engine promises: concurrent fan-out changes the
-	// schedule, never the accounting. Both schedules over the same
-	// topology must produce identical Stats.
-	top := testTopology(t, 8, 8)
-	coord, player := chatter(25)
-	conc, err := RunOn(context.Background(), top, coord, player)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunOn(context.Background(), top, coord, player, SequentialFanout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(conc, seq) {
-		t.Fatalf("stats diverged:\nconcurrent: %+v\nsequential: %+v", conc, seq)
-	}
-	if conc.Rounds != 25 || conc.Messages != 25*8*2 {
-		t.Fatalf("unexpected totals: %+v", conc)
-	}
-}
-
 func TestParallelBroadcastGatherRace(t *testing.T) {
 	// Heavy fan-out with k=16 players and busy replies; meaningful mostly
 	// under -race, which CI runs.
@@ -137,9 +115,40 @@ func TestParallelBroadcastGatherRace(t *testing.T) {
 	}
 }
 
+// TestAskAllAllocs pins the cost of one round inside a session: a 1-bit
+// AskAll to k = 4 ServeLoop players over chan links allocates only the
+// replies slice.
+func TestAskAllAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocs/op not meaningful under -race")
+	}
+	top := testTopology(t, 8, 4)
+	var w wire.Writer
+	w.WriteBool(true)
+	bit := FromWriter(&w)
+	var allocs float64
+	_, err := RunOn(context.Background(), top,
+		func(ctx context.Context, c *Coordinator) error {
+			var err error
+			allocs = testing.AllocsPerRun(200, func() {
+				if _, aerr := c.AskAll(ctx, bit); aerr != nil && err == nil {
+					err = aerr
+				}
+			})
+			return err
+		},
+		ServeLoop(func(*Player, uint64, Msg) (Msg, error) { return bit, nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 1 {
+		t.Fatalf("AskAll allocs/op = %v, want ≤ 1 (the replies slice)", allocs)
+	}
+}
+
 func TestCancellationMidRound(t *testing.T) {
 	// Cancel while a round is in flight: one player never replies, so the
-	// coordinator is parked in Gather when the context dies. Everything
+	// coordinator is parked in AskAll when the context dies. Everything
 	// must unwind, with ErrCanceled surfaced.
 	top := testTopology(t, 8, 4)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -186,49 +195,63 @@ func TestCancellationMidRound(t *testing.T) {
 
 func TestGatherUnblocksOnPlayerError(t *testing.T) {
 	// One player dies mid-round without replying while another is parked
-	// waiting for a request that never comes: the concurrent fan-in must
-	// surface the error instead of waiting for the silent player forever.
-	top := testTopology(t, 8, 3)
-	boom := errors.New("boom")
-	done := make(chan struct{})
-	var runErr error
-	go func() {
-		defer close(done)
-		_, runErr = RunOn(context.Background(), top,
-			func(ctx context.Context, c *Coordinator) error {
-				_, err := c.AskAll(ctx, Ack())
-				return err
-			},
-			func(ctx context.Context, p *Player) error {
-				if _, err := p.Recv(ctx); err != nil {
-					if errors.Is(err, ErrShutdown) {
-						return nil
-					}
-					return err
-				}
-				switch p.ID {
-				case 0:
-					return boom // dies without replying
-				case 1:
-					// Silent: waits for a second request that never comes;
-					// must be unblocked by session shutdown.
-					_, err := p.Recv(ctx)
-					if errors.Is(err, ErrShutdown) {
-						return nil
-					}
-					return err
-				default:
-					return p.Send(ctx, Ack())
-				}
-			})
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gather deadlocked on the silent player")
-	}
-	if !errors.Is(runErr, boom) {
-		t.Fatalf("err = %v, want %v", runErr, boom)
+	// waiting for a request that never comes: the round must surface the
+	// error instead of waiting for the silent player forever. AskAll
+	// receives in player order, so the mirror row, where the silent player
+	// is received from first, holds only because the failing player
+	// cancels the session.
+	const k = 3
+	for _, tc := range []struct {
+		name           string
+		failer, silent int
+	}{
+		{"first-fails", 0, 1},
+		{"last-fails", k - 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top := testTopology(t, 8, k)
+			boom := errors.New("boom")
+			done := make(chan struct{})
+			var runErr error
+			go func() {
+				defer close(done)
+				_, runErr = RunOn(context.Background(), top,
+					func(ctx context.Context, c *Coordinator) error {
+						_, err := c.AskAll(ctx, Ack())
+						return err
+					},
+					func(ctx context.Context, p *Player) error {
+						if _, err := p.Recv(ctx); err != nil {
+							if errors.Is(err, ErrShutdown) {
+								return nil
+							}
+							return err
+						}
+						switch p.ID {
+						case tc.failer:
+							return boom // dies without replying
+						case tc.silent:
+							// Silent: waits for a second request that never
+							// comes; must be unblocked by session teardown.
+							_, err := p.Recv(ctx)
+							if errors.Is(err, ErrShutdown) {
+								return nil
+							}
+							return err
+						default:
+							return p.Send(ctx, Ack())
+						}
+					})
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("round deadlocked on the silent player")
+			}
+			if !errors.Is(runErr, boom) {
+				t.Fatalf("err = %v, want %v", runErr, boom)
+			}
+		})
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 )
 
 // Meter accumulates the communication cost of a protocol run on per-player
-// atomic counters, so concurrent fan-out goroutines never contend on a
-// lock. It additionally supports named-phase attribution (BeginPhase) and
-// a dedicated counter for blackboard posts made by the coordinator. The
-// zero value is unusable — use NewMeter.
+// atomic counters. Every Add call and every Snapshot runs on the session's
+// scheduling goroutine (the coordinator's, in RunOn), so snapshots are
+// exact; ObserveParallel may run on any goroutine, and the atomics keep it
+// race-free. The meter also supports named-phase attribution (BeginPhase)
+// and a dedicated counter for blackboard posts made by the coordinator.
+// The zero value is unusable — use NewMeter.
 type Meter struct {
 	up       []atomic.Int64 // player → coordinator bits, per player
 	down     []atomic.Int64 // coordinator → player bits, per player
@@ -204,23 +206,10 @@ func (s Stats) MaxPlayerBits() int64 {
 	return best
 }
 
-// Snapshot returns the current cost totals. Counters are read atomically;
-// when messages are in flight the snapshot retries a few times for a
-// stable read, and it is always exact at quiescent points — which is where
-// protocols take their snapshots (fan-out calls return only after every
-// message they cover has been metered).
+// Snapshot returns the current cost totals. It runs on the goroutine that
+// makes the Add calls, so it is exact: AskAll returns only after every
+// message it covers has been metered.
 func (m *Meter) Snapshot() Stats {
-	var s Stats
-	for attempt := 0; ; attempt++ {
-		before := m.messages.Load()
-		s = m.read()
-		if m.messages.Load() == before || attempt >= 3 {
-			return s
-		}
-	}
-}
-
-func (m *Meter) read() Stats {
 	s := Stats{
 		PerPlayer:       make([]int64, len(m.up)),
 		CoordinatorBits: m.coord.Load(),

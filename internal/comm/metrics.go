@@ -10,7 +10,7 @@ import (
 // Engine-layer metrics. Instrumentation is confined to session boundaries:
 // every counter below is written exactly once per run, after the session's
 // deterministic outputs (Stats, error) are already fixed, so the
-// per-message hot path — AddUp/AddDown, fan-out, frame I/O — carries zero
+// per-message hot path — AddUp/AddDown, AskAll, frame I/O — carries zero
 // instrumentation and instrumented runs stay byte-identical to bare ones.
 // The phase label vocabulary is whatever protocols pass to BeginPhase: a
 // closed, code-defined set, so cardinality is bounded by the protocol

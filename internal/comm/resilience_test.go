@@ -101,8 +101,9 @@ func TestRunOnFaultyDisconnectAborts(t *testing.T) {
 }
 
 // TestRunOnCancelMidGather pins that canceling a session while the
-// coordinator is parked in Gather — players deliberately never reply —
-// unwinds every goroutine, on the in-process transport and on sockets.
+// coordinator is parked in AskAll's receives — players deliberately never
+// reply — unwinds every goroutine, on the in-process transport and on
+// sockets.
 func TestRunOnCancelMidGather(t *testing.T) {
 	for _, d := range testDialers() {
 		t.Run(d.Name(), func(t *testing.T) {
@@ -111,16 +112,17 @@ func TestRunOnCancelMidGather(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			gathering := make(chan struct{})
 			coord := func(ctx context.Context, c *Coordinator) error {
-				if err := c.Broadcast(ctx, Ack()); err != nil {
-					return err
-				}
-				close(gathering)
-				_, err := c.Gather(ctx)
+				_, err := c.AskAll(ctx, Ack())
 				return err
 			}
 			player := func(ctx context.Context, p *Player) error {
 				if _, err := p.Recv(ctx); err != nil {
 					return err
+				}
+				// AskAll sends in player order, so once the last player
+				// has its request the coordinator is done sending.
+				if p.ID == p.K-1 {
+					close(gathering)
 				}
 				<-ctx.Done() // never reply
 				return fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
@@ -131,7 +133,7 @@ func TestRunOnCancelMidGather(t *testing.T) {
 				done <- err
 			}()
 			<-gathering
-			time.Sleep(5 * time.Millisecond) // let Gather park in Recv
+			time.Sleep(5 * time.Millisecond) // let AskAll park in Recv
 			cancel()
 			select {
 			case err := <-done:

@@ -66,6 +66,17 @@ func simPlayers(top *Topology) []*SimPlayer {
 	return players
 }
 
+// firstErr returns the lowest-indexed non-nil error, so players that
+// fail concurrently report the error a player-order loop would.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunSimultaneousOn executes one protocol in the simultaneous model over
 // top: every player computes its message concurrently, the messages are
 // metered, and the referee is invoked on the ordered message vector.

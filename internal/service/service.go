@@ -680,13 +680,20 @@ func (s *Server) runTrials(j *job) error {
 			var runErr error
 			retries := 0
 			for {
+				start := time.Now()
 				tctx, cancel := ctx, context.CancelFunc(func() {})
 				if timeout > 0 {
 					tctx, cancel = context.WithTimeout(ctx, timeout)
 				}
 				rep, runErr = cl.Test(tctx, opts)
-				timedOut := runErr != nil && tctx.Err() != nil && ctx.Err() == nil
+				// The clock decides a timeout, not tctx.Err(): the runtime
+				// may run the deadline's timer late, after a trial over its
+				// budget has already finished.
+				timedOut := timeout > 0 && time.Since(start) >= timeout && ctx.Err() == nil
 				cancel()
+				if timedOut && runErr == nil {
+					runErr = fmt.Errorf("trial ran past its %v budget: %w", timeout, context.DeadlineExceeded)
+				}
 				if runErr == nil || ctx.Err() != nil {
 					break
 				}

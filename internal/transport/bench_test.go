@@ -100,35 +100,6 @@ func BenchmarkChanRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkChanTryRoundTrip measures the fan-out fast path (TrySend +
-// TryRecv), which must also be allocation-free.
-func BenchmarkChanTryRoundTrip(b *testing.B) {
-	links, err := Chan{}.Dial(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer closeLinks(links)
-	a := links[0].A.(interface {
-		TrySender
-		TryReceiver
-	})
-	bb := links[0].B.(interface {
-		TrySender
-		TryReceiver
-	})
-	req := frame(96, 0xa5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !a.TrySend(req) {
-			b.Fatal("TrySend failed")
-		}
-		if _, ok := bb.TryRecv(); !ok {
-			b.Fatal("TryRecv failed")
-		}
-	}
-}
-
 // BenchmarkTCPRoundTrip is the same round trip over a real loopback
 // socket, for the wire-vs-channel comparison in DESIGN.md §6.
 func BenchmarkTCPRoundTrip(b *testing.B) {

@@ -13,9 +13,9 @@ import (
 // steady-state hot path allocates nothing (pinned by BenchmarkChanRoundTrip).
 type Chan struct {
 	// Buf is the per-direction frame buffer depth; 0 means 1. One slot is
-	// enough to let a round-trip pipeline: a fan-out Send deposits without
-	// waiting for the peer to reach Recv, and a reply never blocks on the
-	// sender coming back around.
+	// enough for a round: the coordinator's Send to each player deposits
+	// without waiting for that player to reach Recv, and a reply never
+	// blocks on the coordinator reaching that player's Recv.
 	Buf int
 }
 
@@ -81,24 +81,6 @@ func (c *chanConn) Send(ctx context.Context, f Frame) error {
 	}
 }
 
-// TrySend deposits f only if buffer space is immediately available.
-func (c *chanConn) TrySend(f Frame) bool {
-	select {
-	case <-c.closed:
-		return false
-	case <-c.peerClosed:
-		return false
-	default:
-	}
-	select {
-	case c.out <- f:
-		c.stats.sent(f.Bits)
-		return true
-	default:
-		return false
-	}
-}
-
 // Recv blocks for the next frame. When the peer closes, frames it already
 // sent are drained first (the drain race mirrors the engine's historical
 // shutdown semantics), then ErrClosed is reported.
@@ -120,17 +102,6 @@ func (c *chanConn) Recv(ctx context.Context) (Frame, error) {
 		}
 	case <-ctx.Done():
 		return Frame{}, ctx.Err()
-	}
-}
-
-// TryRecv returns a frame only if one is already delivered.
-func (c *chanConn) TryRecv() (Frame, bool) {
-	select {
-	case f := <-c.in:
-		c.stats.received(f.Bits)
-		return f, true
-	default:
-		return Frame{}, false
 	}
 }
 

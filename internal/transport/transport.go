@@ -30,8 +30,9 @@
 //   - operations on the closed endpoint itself return ErrClosed.
 //
 // Every transport guarantees at least one frame of send buffering per
-// direction, so a reply deposited by one side never blocks on the other side
-// reaching Recv — the pipelining property the engine's fan-out relies on.
+// direction, so one frame in flight never waits for the other side to reach
+// Recv. That lets the engine run a round on one goroutine: send to every
+// player in order, then receive from every player in order.
 package transport
 
 import (
@@ -83,21 +84,6 @@ type Conn interface {
 	Close() error
 	// Stats snapshots the endpoint's wire-byte counters.
 	Stats() LinkStats
-}
-
-// TrySender is implemented by transports whose Send can complete without
-// blocking when buffer space is free — the engine's broadcast fast path.
-// TrySend reports whether the frame was accepted; false means the caller
-// must fall back to Send.
-type TrySender interface {
-	TrySend(f Frame) bool
-}
-
-// TryReceiver is implemented by transports whose Recv can complete without
-// blocking when a frame is already delivered — the engine's gather fast
-// path. TryRecv reports whether a frame was available.
-type TryReceiver interface {
-	TryRecv() (Frame, bool)
 }
 
 // Link is one bidirectional connection: two Conn endpoints. By convention

@@ -200,41 +200,6 @@ func TestConnPipelining(t *testing.T) {
 	}
 }
 
-// TestChanTryFastPaths covers the non-blocking interface the engine's
-// fan-out uses on the in-process transport.
-func TestChanTryFastPaths(t *testing.T) {
-	links, err := Chan{}.Dial(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeLinks(links)
-	a := links[0].A.(interface {
-		TrySender
-		TryReceiver
-	})
-	b := links[0].B.(interface {
-		TrySender
-		TryReceiver
-	})
-
-	if _, ok := a.TryRecv(); ok {
-		t.Fatal("TryRecv on empty link succeeded")
-	}
-	if !a.TrySend(frame(8, 1)) {
-		t.Fatal("TrySend into empty buffer failed")
-	}
-	if a.TrySend(frame(8, 2)) {
-		t.Fatal("TrySend into full buffer succeeded")
-	}
-	if f, ok := b.TryRecv(); !ok || f.Bits != 8 {
-		t.Fatalf("TryRecv = %v %v, want the buffered frame", f, ok)
-	}
-	links[0].B.Close()
-	if a.TrySend(frame(8, 3)) {
-		t.Fatal("TrySend toward closed peer succeeded")
-	}
-}
-
 // TestWANDeterministicDelays pins the simulated-WAN determinism story: the
 // same seed replays the same jitter sequence, a different seed does not.
 func TestWANDeterministicDelays(t *testing.T) {
