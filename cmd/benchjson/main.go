@@ -40,6 +40,7 @@ import (
 	"tricomm/internal/blocks"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
+	"tricomm/internal/partition"
 	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
 	"tricomm/internal/stats"
@@ -278,6 +279,20 @@ func scenarioBench(family string) func(b *testing.B) {
 	}
 }
 
+// splitBench measures one split of the far instance the oneround
+// workload of perfbench splits (n = 16384, d = 8) among k = 8 players.
+func splitBench(pt partition.Partitioner) func(b *testing.B) {
+	return func(b *testing.B) {
+		g := graph.FarWithDegree(graph.FarParams{N: 16384, D: 8, Eps: 0.2}, rand.New(rand.NewSource(8))).G
+		s := xrand.New(8)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pt.Split(g, 8, s)
+		}
+	}
+}
+
 // denseSessionBench measures one full interactive session on a dense
 // ε-far instance at the given intra-phase worker width. The w1/w8 pair
 // is the single-session speedup the BENCH trajectory tracks: the reports
@@ -397,6 +412,8 @@ func coreBenchmarks() []namedBench {
 				graph.FarWithDegree(graph.FarParams{N: 4096, D: 8, Eps: 0.2}, rng)
 			}
 		}},
+		{"partition/split-disjoint", splitBench(partition.Disjoint{})},
+		{"partition/split-duplicate", splitBench(partition.Duplicate{Q: 0.5})},
 		{"bitset/intersect-count", func(b *testing.B) {
 			// Mirrors internal/bitset BenchmarkIntersectCount: 32-word rows
 			// (a 2048-vertex shadow) at density 0.3.

@@ -59,9 +59,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// The one-round audit runs as a Session: the per-datacenter views
-		// are built once and reused, so amplifying the one-sided success
-		// probability with independent repetitions costs only communication.
+		// The one-round audit runs as a Session: every repetition reuses
+		// the cluster's split and draws only fresh shared randomness, and
+		// the one-round tester builds no per-datacenter graph, so
+		// amplifying the one-sided success probability costs each
+		// repetition its sketches and their communication.
 		session, err := cluster.Session(tricomm.Options{
 			Protocol: tricomm.SimultaneousOblivious, Eps: eps,
 		})

@@ -57,8 +57,8 @@ func (b *Board) ObserveParallel(d time.Duration) { b.meter.ObserveParallel(d) }
 // Stats snapshots the communication cost so far.
 func (b *Board) Stats() Stats { return b.meter.Snapshot() }
 
-// BoardPlayersOn materializes the players' local views over the topology's
-// cache.
+// BoardPlayersOn returns the blackboard players over top. A player's view
+// is built in the topology's cache when it is first read.
 func BoardPlayersOn(top *Topology) []*SimPlayer { return simPlayers(top) }
 
 // OneWayResult carries the transcript of a 3-player one-way run.

@@ -5,8 +5,9 @@
 // private inputs, the shared randomness, and the players' local graph
 // views (graph.FromEdges over each input). NewTopology is its only
 // constructor. A Topology is built once per cluster and reused across
-// every protocol run; views materialize lazily, exactly once, and are
-// safe for concurrent readers. The models are:
+// every protocol run; each view is built at its first read, exactly once,
+// so a view no party reads is never built, and is safe for concurrent
+// readers. The models are:
 //
 //   - RunOn: the coordinator model (§2). k player goroutines hold private
 //     inputs and exchange messages with a coordinator over private links;

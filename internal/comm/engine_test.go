@@ -324,7 +324,7 @@ func TestSimultaneousOnReusesViews(t *testing.T) {
 	seen := make([]*graph.Graph, 4)
 	_, err := RunSimultaneousOn(context.Background(), top,
 		func(p *SimPlayer) (Msg, error) {
-			seen[p.ID] = p.View
+			seen[p.ID] = p.View()
 			return Ack(), nil
 		},
 		func(_ *xrand.Shared, msgs []Msg) error { return nil })
@@ -335,5 +335,71 @@ func TestSimultaneousOnReusesViews(t *testing.T) {
 		if v != top.View(j) {
 			t.Fatalf("player %d got a rebuilt view", j)
 		}
+	}
+}
+
+// TestSimultaneousOnBuildsOnlyReadViews pins that the simultaneous,
+// one-way and blackboard entry points build no view a player does not
+// read, and that a player reading its view gets the topology's cached
+// graph, built once.
+func TestSimultaneousOnBuildsOnlyReadViews(t *testing.T) {
+	entries := []struct {
+		name string
+		// run hands every player of one run over top to visit.
+		run func(top *Topology, visit func(*SimPlayer)) error
+	}{
+		{"simultaneous", func(top *Topology, visit func(*SimPlayer)) error {
+			_, err := RunSimultaneousOn(context.Background(), top,
+				func(p *SimPlayer) (Msg, error) { visit(p); return Ack(), nil },
+				func(*xrand.Shared, []Msg) error { return nil })
+			return err
+		}},
+		{"one-way", func(top *Topology, visit func(*SimPlayer)) error {
+			_, err := RunOneWayOn(top,
+				func(p *SimPlayer) (Msg, error) { visit(p); return Ack(), nil },
+				func(p *SimPlayer, _ Msg) (Msg, error) { visit(p); return Ack(), nil },
+				func(p *SimPlayer, _, _ Msg) error { visit(p); return nil })
+			return err
+		}},
+		{"blackboard", func(top *Topology, visit func(*SimPlayer)) error {
+			for _, p := range BoardPlayersOn(top) {
+				visit(p)
+			}
+			return nil
+		}},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			top := testTopology(t, 6, 3)
+			if err := e.run(top, func(*SimPlayer) {}); err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range top.cache.views {
+				if v != nil {
+					t.Fatalf("player %d's view was built but never read", j)
+				}
+			}
+			const reader = 1
+			var first, second *graph.Graph
+			err := e.run(top, func(p *SimPlayer) {
+				if p.ID == reader {
+					first, second = p.View(), p.View()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range top.cache.views {
+				if (v != nil) != (j == reader) {
+					t.Fatalf("player %d: view built = %v, want %v", j, v != nil, j == reader)
+				}
+			}
+			if first == nil || first != second || first != top.View(reader) {
+				t.Fatal("View did not return the topology's cached graph")
+			}
+			if first.M() != len(top.Input(reader)) {
+				t.Fatalf("view has %d edges, input %d", first.M(), len(top.Input(reader)))
+			}
+		})
 	}
 }

@@ -157,7 +157,7 @@ func TestBoardPlayers(t *testing.T) {
 		if p.ID != j || p.K != 3 || p.N != 6 {
 			t.Fatalf("player %d metadata wrong: %+v", j, p)
 		}
-		if p.View.M() != len(p.Edges) {
+		if p.View().M() != len(p.Edges) {
 			t.Fatalf("player %d view mismatch", j)
 		}
 	}

@@ -22,9 +22,6 @@ type SimPlayer struct {
 	N int
 	// Edges is the player's private input E_j.
 	Edges []graph.Edge
-	// View is the player's local graph (V, E_j), shared with the topology
-	// cache.
-	View *graph.Graph
 	// Shared is the public randomness.
 	Shared *xrand.Shared
 	// Workers is the resolved intra-phase worker count: hot local loops
@@ -32,8 +29,14 @@ type SimPlayer struct {
 	// results and bit accounting are identical at every value.
 	Workers int
 
+	top   *Topology
 	meter *Meter
 }
+
+// View returns the player's local graph (V, E_j) from the topology's view
+// cache, building it on the calling goroutine at the first read. A player
+// that never calls View costs no graph build.
+func (p *SimPlayer) View() *graph.Graph { return p.top.View(p.ID) }
 
 // ObserveParallel attributes d of wall clock to the session's intra-phase
 // parallel regions (observability only — never part of Stats). Safe on a
@@ -47,8 +50,8 @@ type SimPlayerFunc func(p *SimPlayer) (Msg, error)
 // has access to the shared randomness but to no input.
 type RefereeFunc func(shared *xrand.Shared, msgs []Msg) error
 
-// simPlayers materializes the ordered player views over the topology's
-// cached local graphs.
+// simPlayers returns the ordered players over top. It builds no local
+// graph: each player's View reads the topology's cache on demand.
 func simPlayers(top *Topology) []*SimPlayer {
 	workers := parwork.Workers(top.intra)
 	players := make([]*SimPlayer, top.K())
@@ -58,9 +61,9 @@ func simPlayers(top *Topology) []*SimPlayer {
 			K:       top.K(),
 			N:       top.N(),
 			Edges:   top.Input(j),
-			View:    top.View(j),
 			Shared:  top.Shared(),
 			Workers: workers,
+			top:     top,
 		}
 	}
 	return players

@@ -11,11 +11,11 @@ import (
 	"tricomm/internal/xrand"
 )
 
-// viewCache lazily materializes the players' local graphs. Building
-// graph.FromEdges for every player on every run is the dominant
-// non-protocol cost in harness sweeps; the cache builds each view exactly
-// once per topology and shares it across runs. A built *graph.Graph is
-// immutable, so concurrent readers are safe.
+// viewCache holds the players' local graphs. Each is built by
+// graph.FromEdges the first time a party reads it and is then shared by
+// every later run over the topology; a view nobody reads is never built
+// (the one-round testers read none). A built *graph.Graph is immutable,
+// so concurrent readers are safe.
 type viewCache struct {
 	once  []sync.Once
 	views []*graph.Graph
@@ -69,21 +69,15 @@ func (t *Topology) Shared() *xrand.Shared { return t.shared }
 // modify.
 func (t *Topology) Input(j int) []wire.Edge { return t.inputs[j] }
 
-// View returns player j's local graph (V, E_j), building it on first use
-// and caching it for every later run over this topology.
+// View returns player j's local graph (V, E_j), building it on the
+// caller's goroutine the first time any caller asks for it, and returning
+// that one graph to every later caller over this topology and the
+// topologies derived from it.
 func (t *Topology) View(j int) *graph.Graph {
 	t.cache.once[j].Do(func() {
 		t.cache.views[j] = graph.FromEdges(t.n, t.inputs[j])
 	})
 	return t.cache.views[j]
-}
-
-// Warm materializes every player view now. Sessions call it implicitly on
-// first use; calling it eagerly moves the build cost out of the first run.
-func (t *Topology) Warm() {
-	for j := range t.inputs {
-		t.View(j)
-	}
 }
 
 // WithShared returns a topology over the same inputs and the same view

@@ -178,13 +178,26 @@ func FarWithDegree(p FarParams, rng *rand.Rand) FarGraph {
 		next += c
 		return s
 	}
-	b := NewBuilder(p.N)
-	var planted []Triangle
-	for remaining := t; remaining > 0; {
-		a := aMax
-		if s := int(math.Ceil(math.Sqrt(float64(remaining)))); s < a {
-			a = s
+	side := func(remaining int) int {
+		if s := int(math.Ceil(math.Sqrt(float64(remaining)))); s < aMax {
+			return s
 		}
+		return aMax
+	}
+	// The block sides depend only on t and aMax, and the noise loop below
+	// stops at exactly m edges, so the certificate and the builder are
+	// sized once here and never regrow.
+	nPlanted := 0
+	for remaining := t; remaining > 0; {
+		a := side(remaining)
+		nPlanted += a * a
+		remaining -= a * a
+	}
+	planted := make([]Triangle, 0, nPlanted)
+	b := NewBuilder(p.N)
+	b.grow(m)
+	for remaining := t; remaining > 0; {
+		a := side(remaining)
 		vs := take(3 * a)
 		pu, pv, pw := vs[:a], vs[a:2*a], vs[2*a:]
 		// Complete tripartite block.

@@ -58,14 +58,15 @@ func (p OneWayProbe) Run(inst MuInstance, shared *xrand.Shared) (ProbeResult, er
 	owr, err := comm.RunOneWayOn(top,
 		func(alice *comm.SimPlayer) (comm.Msg, error) {
 			// Max-degree vertex of U in Alice's input.
+			view := alice.View()
 			best, bestDeg := 0, -1
 			for u := 0; u < inst.NPart; u++ {
-				if d := alice.View.Degree(u); d > bestDeg {
+				if d := view.Degree(u); d > bestDeg {
 					best, bestDeg = u, d
 				}
 			}
 			var list []int
-			for _, v := range alice.View.Neighbors(best) {
+			for _, v := range view.Neighbors(best) {
 				if len(list) >= maxList {
 					break
 				}
@@ -87,7 +88,7 @@ func (p OneWayProbe) Run(inst MuInstance, shared *xrand.Shared) (ProbeResult, er
 				return comm.Msg{}, err
 			}
 			var list []int
-			for _, v := range bob.View.Neighbors(uStar) {
+			for _, v := range bob.View().Neighbors(uStar) {
 				if len(list) >= maxList {
 					break
 				}
@@ -113,9 +114,10 @@ func (p OneWayProbe) Run(inst MuInstance, shared *xrand.Shared) (ProbeResult, er
 				return err
 			}
 			res.Covered = len(v1s) * len(v2s)
+			view := charlie.View()
 			for _, v1 := range v1s {
 				for _, v2 := range v2s {
-					if charlie.View.HasEdge(v1, v2) {
+					if view.HasEdge(v1, v2) {
 						res.Output = wire.Edge{U: v1, V: v2}.Canon()
 						res.Success = inst.IsValidOutput(res.Output)
 						return nil

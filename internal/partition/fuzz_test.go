@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 
 	"tricomm/internal/graph"
@@ -34,16 +35,39 @@ func edgeCounts(p *Partition) map[wire.Edge]int {
 	return counts
 }
 
+// sameSplit fails t unless got holds exactly want's player lists, in
+// order, each allocated at its final length.
+func sameSplit(t *testing.T, got, want *Partition) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Inputs, want.Inputs) {
+		t.Fatalf("%s: inputs differ from the one-pass reference", got.Scheme)
+	}
+	for j, in := range got.Inputs {
+		if cap(in) != len(in) {
+			t.Fatalf("%s: player %d list has cap %d, len %d", got.Scheme, j, cap(in), len(in))
+		}
+	}
+}
+
 // FuzzSplitConservation fuzzes the edge-conservation contract of every
 // split scheme: Disjoint and ByVertex hold each graph edge exactly once
 // across players; Duplicate covers each edge at least once (and never
 // invents edges, so the union still equals the edge set); All hands
-// every player the full edge set — k copies of each edge.
+// every player the full edge set — k copies of each edge. Disjoint and
+// Duplicate (at Q = 0, 0.5 and 1) must also equal their one-pass
+// references byte for byte, with every list allocated at its final length.
 func FuzzSplitConservation(f *testing.F) {
 	f.Add(uint64(1), 16, 3, []byte{0, 1, 1, 2, 2, 0, 3, 4})
 	f.Add(uint64(42), 5, 1, []byte{0, 1, 0, 1, 4, 3})
 	f.Add(uint64(7), 64, 8, []byte{9, 20, 20, 9, 63, 0, 5, 5, 1, 2})
 	f.Add(uint64(0), 2, 2, []byte{})
+	// A stride-37 byte walk: 31 edges on 41 vertices among 6 players, so
+	// some player's list grows past two and a short capacity shows.
+	walk := make([]byte, 64)
+	for i := range walk {
+		walk[i] = byte(i * 37)
+	}
+	f.Add(uint64(3), 40, 5, walk)
 	f.Fuzz(func(t *testing.T, seed uint64, n, k int, raw []byte) {
 		if n < 1 {
 			n = 1
@@ -80,6 +104,12 @@ func FuzzSplitConservation(f *testing.F) {
 			if err := p.Validate(g); err != nil {
 				t.Fatalf("%s: %v", exact.Name(), err)
 			}
+		}
+
+		sameSplit(t, Disjoint{}.Split(g, k, shared), refDisjointSplit(g, k, shared))
+		for _, q := range []float64{0, 0.5, 1} {
+			d := Duplicate{Q: q}
+			sameSplit(t, d.Split(g, k, shared), refDuplicateSplit(d, g, k, shared))
 		}
 
 		dup := Duplicate{Q: 0.5}.Split(g, k, shared)

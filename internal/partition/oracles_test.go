@@ -5,10 +5,44 @@ import (
 
 	"tricomm/internal/graph"
 	"tricomm/internal/wire"
+	"tricomm/internal/xrand"
 )
 
-// Test oracles: the player count, the players' views and the union, and
-// the coverage check every scheme is held to.
+// Test oracles: the player count, the players' views and the union, the
+// coverage check every scheme is held to, and one-pass references for the
+// randomized splits.
+
+// refDisjointSplit is Disjoint.Split as one pass that appends each edge to
+// its owner's list as it draws the owner. Disjoint.Split must produce the
+// same Inputs.
+func refDisjointSplit(g *graph.Graph, k int, s *xrand.Shared) *Partition {
+	rng := s.Stream("partition/disjoint")
+	inputs := make([][]wire.Edge, k)
+	g.VisitEdges(func(e wire.Edge) bool {
+		j := rng.Intn(k)
+		inputs[j] = append(inputs[j], e)
+		return true
+	})
+	return &Partition{N: g.N(), Inputs: inputs, Scheme: "disjoint"}
+}
+
+// refDuplicateSplit is Duplicate.Split as one pass that appends each edge
+// to every player that draws it. Duplicate.Split must produce the same
+// Inputs.
+func refDuplicateSplit(d Duplicate, g *graph.Graph, k int, s *xrand.Shared) *Partition {
+	rng := s.Stream("partition/duplicate")
+	inputs := make([][]wire.Edge, k)
+	g.VisitEdges(func(e wire.Edge) bool {
+		holder := rng.Intn(k)
+		for j := 0; j < k; j++ {
+			if j == holder || rng.Float64() < d.Q {
+				inputs[j] = append(inputs[j], e)
+			}
+		}
+		return true
+	})
+	return &Partition{N: g.N(), Inputs: inputs, Scheme: d.Name()}
+}
 
 // K reports the number of players.
 func (p *Partition) K() int { return len(p.Inputs) }

@@ -10,7 +10,9 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 
+	"tricomm/internal/bitset"
 	"tricomm/internal/graph"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
@@ -54,14 +56,25 @@ var _ Partitioner = Disjoint{}
 // Name implements Partitioner.
 func (Disjoint) Name() string { return "disjoint" }
 
-// Split implements Partitioner.
+// Split implements Partitioner. It draws every edge's owner first, in
+// canonical edge order, then allocates each player's list at its final
+// length and fills it in a second pass over the edges.
 func (Disjoint) Split(g *graph.Graph, k int, s *xrand.Shared) *Partition {
 	mustPlayers(k)
 	rng := s.Stream("partition/disjoint")
-	inputs := make([][]wire.Edge, k)
-	g.VisitEdges(func(e wire.Edge) bool {
+	owner := make([]int32, g.M())
+	counts := make([]int, k)
+	for i := range owner {
 		j := rng.Intn(k)
+		owner[i] = int32(j)
+		counts[j]++
+	}
+	inputs := sizedInputs(counts)
+	i := 0
+	g.VisitEdges(func(e wire.Edge) bool {
+		j := owner[i]
 		inputs[j] = append(inputs[j], e)
+		i++
 		return true
 	})
 	return &Partition{N: g.N(), Inputs: inputs, Scheme: "disjoint"}
@@ -81,18 +94,37 @@ var _ Partitioner = Duplicate{}
 // Name implements Partitioner.
 func (d Duplicate) Name() string { return fmt.Sprintf("duplicate(q=%.2f)", d.Q) }
 
-// Split implements Partitioner.
+// Split implements Partitioner. It draws every (edge, player) membership
+// first, in canonical edge order and player order within an edge, then
+// allocates each player's list at its final length and fills it in a
+// second pass over the edges.
 func (d Duplicate) Split(g *graph.Graph, k int, s *xrand.Shared) *Partition {
 	mustPlayers(k)
 	rng := s.Stream("partition/duplicate")
-	inputs := make([][]wire.Edge, k)
-	g.VisitEdges(func(e wire.Edge) bool {
+	// Edge i's memberships are the bitset row held[i·w : (i+1)·w], bit j
+	// for player j, so the fill pass can jump between set bits.
+	w := bitset.Words(k)
+	held := make([]uint64, g.M()*w)
+	counts := make([]int, k)
+	for row := held; len(row) > 0; row = row[w:] {
 		holder := rng.Intn(k)
 		for j := 0; j < k; j++ {
 			if j == holder || rng.Float64() < d.Q {
+				bitset.Mark(row, j)
+				counts[j]++
+			}
+		}
+	}
+	inputs := sizedInputs(counts)
+	row := held
+	g.VisitEdges(func(e wire.Edge) bool {
+		for wi, word := range row[:w] {
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
 				inputs[j] = append(inputs[j], e)
 			}
 		}
+		row = row[w:]
 		return true
 	})
 	return &Partition{N: g.N(), Inputs: inputs, Scheme: d.Name()}
@@ -164,6 +196,18 @@ func (ByVertex) Split(g *graph.Graph, k int, s *xrand.Shared) *Partition {
 		return true
 	})
 	return &Partition{N: g.N(), Inputs: inputs, Scheme: "byvertex"}
+}
+
+// sizedInputs returns k player lists with capacity counts[j] each; a
+// player with no edges keeps a nil list.
+func sizedInputs(counts []int) [][]wire.Edge {
+	inputs := make([][]wire.Edge, len(counts))
+	for j, c := range counts {
+		if c > 0 {
+			inputs[j] = make([]wire.Edge, 0, c)
+		}
+	}
+	return inputs
 }
 
 func mustPlayers(k int) {

@@ -132,7 +132,7 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 				// Fused candidate-scan + min-rank, fanned across the
 				// player's intra-phase workers (same winner at any width).
 				done := boardParRegion(board, p.Workers)
-				lv, ok := bucket.MinRankCandidate(p.View, i, k, key, p.Workers)
+				lv, ok := bucket.MinRankCandidate(p.View(), i, k, key, p.Workers)
 				done()
 				var w wire.Writer
 				w.WriteBool(ok)
@@ -158,7 +158,7 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 			// Public MSB degree bracket: d(v) ≤ d′(v) ≤ 2k·d(v).
 			var dPrime float64
 			for _, p := range players {
-				blen := bits.Len(uint(p.View.Degree(best)))
+				blen := bits.Len(uint(p.View().Degree(best)))
 				var w wire.Writer
 				w.WriteGamma(uint64(blen) + 1)
 				if err := board.Post(p.ID, comm.FromWriter(&w)); err != nil {
@@ -201,7 +201,7 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 				// preserved, so the board transcript is identical at any
 				// width.
 				done := boardParRegion(board, pl.Workers)
-				freshNbrs := parwork.Filter(pl.Workers, pl.View.Neighbors(cd.v), func(_ int, u32 int32) bool {
+				freshNbrs := parwork.Filter(pl.Workers, pl.View().Neighbors(cd.v), func(_ int, u32 int32) bool {
 					uu := int(u32)
 					return !posted.Has(uu) && key.Bernoulli(uint64(uu), p)
 				})
@@ -236,7 +236,7 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 			// arms posts the triangle.
 			for _, pl := range players {
 				done := boardParRegion(board, pl.Workers)
-				tri, ok := closeArmsN(pl.View, cd.v, arms, pl.Workers)
+				tri, ok := closeArmsN(pl.View(), cd.v, arms, pl.Workers)
 				done()
 				if ok {
 					var w wire.Writer

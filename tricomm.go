@@ -574,9 +574,10 @@ func (c *Cluster) Test(ctx context.Context, opts Options) (Report, error) {
 	return report(p.Name(), res), nil
 }
 
-// Session is a tester bound to a cluster with all reusable state — the
-// cached per-player views above all — materialized up front, for running
-// many tests against one cluster at minimal per-call cost.
+// Session is a tester bound to a cluster, with its options validated and
+// its transport resolved once, for running many tests against one
+// cluster. The player views a tester reads are built at the first read
+// and reused by every later call; views it never reads are never built.
 type Session struct {
 	p   runner
 	top *comm.Topology
@@ -613,8 +614,9 @@ func (c *Cluster) transportTopology(opts Options) (*comm.Topology, error) {
 	return top.WithTransport(d), nil
 }
 
-// Session validates opts, binds the selected tester to the cluster, and
-// eagerly materializes the cluster's player views.
+// Session validates opts and binds the selected tester to the cluster.
+// It builds no player view: a tester that reads one builds it at its
+// first read, and the cluster keeps it for every later call.
 func (c *Cluster) Session(opts Options) (*Session, error) {
 	opts = opts.withDefaults()
 	p, err := opts.runner()
@@ -625,7 +627,6 @@ func (c *Cluster) Session(opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	top.Warm()
 	return &Session{p: p, top: top}, nil
 }
 
