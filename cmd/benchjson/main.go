@@ -258,6 +258,22 @@ func writeReply(w *wire.Writer, seed uint64) {
 	}
 }
 
+// benchHandle measures one player answering req as request 2 of an
+// "unrestricted" run, width 1. The player holds all of a 2048-vertex
+// Erdős–Rényi graph of mean degree ~20 at k = 4.
+func benchHandle(b *testing.B, req comm.Msg) {
+	g := graph.ErdosRenyi(2048, 0.01, rand.New(rand.NewSource(4)))
+	p := &comm.Player{K: 4, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(1), Workers: 1}
+	run := p.Shared.Key("unrestricted")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := blocks.Handle(p, run, 2, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // scenarioBench measures one scenario family's generation hot path at its
 // default parameters (the same specs the registry-driven benchmarks in
 // internal/scenario track with ReportAllocs).
@@ -556,19 +572,24 @@ func coreBenchmarks() []namedBench {
 		}},
 		{"blocks/sample-test", func(b *testing.B) {
 			// One player answering one degree-estimator round: m = 300
-			// experiments for a vertex of degree ~20 at guess 2^3, width 1,
-			// as request 2 of an "unrestricted" run.
-			g := graph.ErdosRenyi(2048, 0.01, rand.New(rand.NewSource(4)))
-			p := &comm.Player{K: 4, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(1), Workers: 1}
-			run := p.Shared.Key("unrestricted")
-			req := blocks.SampleTestRequest(7, 300, 3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := blocks.Handle(p, run, 2, req); err != nil {
-					b.Fatal(err)
-				}
+			// experiments for a one-vertex list, a vertex of degree ~20 at
+			// guess 2^3.
+			benchHandle(b, blocks.SampleTestRequest(300, []int{7}, []int{3}))
+		}},
+		{"blocks/sample-test-batch", func(b *testing.B) {
+			// blocks/sample-test for a list of 25 vertices, as one round
+			// of a candidate wave's degree filter sends it.
+			vs, js := make([]int, 25), make([]int, 25)
+			for x := range vs {
+				vs[x], js[x] = 7+x, 3
 			}
+			benchHandle(b, blocks.SampleTestRequest(300, vs, js))
+		}},
+		{"blocks/candidate-wave", func(b *testing.B) {
+			// The same player drawing a wave of 25 candidate samples from
+			// bucket 3 (degrees 9–26; the graph's mean degree is ~20):
+			// one member scan, then 25 min-rank picks.
+			benchHandle(b, blocks.CandidateWaveRequest(3, 25))
 		}},
 		{"engine/askall-roundtrip", func(b *testing.B) {
 			// One AskAll of a 1-bit request to k = 4 ServeLoop players over

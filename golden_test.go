@@ -33,12 +33,12 @@ type goldenCase struct {
 var goldenCases = []goldenCase{
 	{name: "interactive-far", n: 512, d: 8, k: 4, seed: 11, far: true,
 		opts: Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 8},
-		free: false, witness: Triangle{A: 11, B: 62, C: 491}, bits: 183805,
-		perPlayer: []int64{45974, 46029, 45943, 45859}, rounds: 337, proto: "unrestricted"},
+		free: false, witness: Triangle{A: 74, B: 208, C: 213}, bits: 162097,
+		perPlayer: []int64{40497, 40562, 40559, 40479}, rounds: 67, proto: "unrestricted"},
 	{name: "interactive-oblivious-far", n: 512, d: 8, k: 4, seed: 12, far: true,
 		opts: Options{Protocol: Interactive, Eps: 0.2},
-		free: false, witness: Triangle{A: 22, B: 29, C: 101}, bits: 182040,
-		perPlayer: []int64{45520, 45479, 45487, 45554}, rounds: 328, proto: "unrestricted"},
+		free: false, witness: Triangle{A: 2, B: 46, C: 111}, bits: 161018,
+		perPlayer: []int64{40209, 40233, 40320, 40256}, rounds: 55, proto: "unrestricted"},
 	{name: "blackboard-far", n: 512, d: 8, k: 4, seed: 13, far: true,
 		opts: Options{Protocol: InteractiveBlackboard, Eps: 0.2, AvgDegree: 8},
 		free: false, witness: Triangle{A: 7, B: 330, C: 415}, bits: 1627,
@@ -65,8 +65,8 @@ var goldenCases = []goldenCase{
 		perPlayer: []int64{1008, 828, 628, 888, 1008, 768}, rounds: 1, proto: "sim-low"},
 	{name: "interactive-free", n: 512, d: 8, k: 4, seed: 19, far: false,
 		opts: Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 8},
-		free: true, bits: 289324,
-		perPlayer: []int64{72367, 72257, 72400, 72300}, rounds: 585, proto: "unrestricted"},
+		free: true, bits: 263340,
+		perPlayer: []int64{65914, 65721, 65812, 65893}, rounds: 150, proto: "unrestricted"},
 	{name: "blackboard-free", n: 512, d: 8, k: 4, seed: 20, far: false,
 		opts: Options{Protocol: InteractiveBlackboard, Eps: 0.2},
 		free: true, bits: 15505,

@@ -15,6 +15,18 @@
 // (comm.ServeLoop), so every party derives the same key without a tag on
 // the wire.
 //
+// Rounds, not bits, set a session's latency, so the candidate blocks work
+// on lists. One CandidateMinRank request draws a whole wave of samples:
+// sample t of request r is ordered by Shared.Key(tag).Child(r).Child(t),
+// and each player lists its bucket members once and answers every sample
+// from that list. One CountMSB, SampleTest or CountTopBits request covers
+// a whole vertex list: listed vertex x of request r samples under
+// Shared.Key(tag).Child(r).Child(x), and SampleTest sends its experiment
+// count m once per request. A list length is gamma-coded, so a
+// one-element request costs one bit more than a bare vertex. Players
+// bound every declared count (wave size, list length, list length × m)
+// before they allocate for it.
+//
 // Opcodes are the first varint of every request; replies are op-specific.
 // A request ends at its last field.
 package blocks
@@ -55,6 +67,20 @@ const (
 
 // ErrBadRequest indicates a malformed request reaching a player.
 var ErrBadRequest = errors.New("blocks: malformed request")
+
+// Bounds on the counts a request declares, checked before a player
+// allocates for them. A legitimate candidate wave stays below
+// keep ≈ 4·ln n samples, and its degree estimates below keep vertices at
+// m ≈ 328 experiments; coordinators split anything longer.
+const (
+	// maxWave caps the samples of one candidate wave.
+	maxWave = 1 << 12
+	// maxList caps the vertices of one count request.
+	maxList = 1 << 12
+	// maxExperiments caps a SampleTest request's list length × m, the bits
+	// of each player's reply.
+	maxExperiments = 1 << 20
+)
 
 // Serve returns the player function of every protocol composed from these
 // blocks: comm.ServeLoop over Handle under the public run tag. The tag is
@@ -146,7 +172,7 @@ const (
 // localElements enumerates the player's elements of the given universe:
 // neighbor ids of v for modeDegree, canonical edge keys for modeEdges.
 // The returned values are universe-unique ids shared across players.
-// readModeVertex admits no other mode.
+// readMode admits no other mode.
 func localElements(p *comm.Player, mode countMode, v int) []uint64 {
 	if mode == modeDegree {
 		nbrs := p.View.Neighbors(v)

@@ -216,13 +216,14 @@ func TestApproxDegreeBadParams(t *testing.T) {
 func TestApproxDegreeNoDup(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := graph.ErdosRenyi(300, 0.1, rng)
-	runCoord(t, g, partition.Disjoint{}, 5, 12, func(ctx context.Context, c *comm.Coordinator) error {
-		for _, v := range []int{0, 7, 42, 199} {
-			d := float64(g.Degree(v))
-			est, err := ApproxDegreeNoDup(ctx, c, v, 3)
-			if err != nil {
-				return err
-			}
+	vs := []int{0, 7, 42, 199}
+	st := runCoord(t, g, partition.Disjoint{}, 5, 12, func(ctx context.Context, c *comm.Coordinator) error {
+		ests, err := ApproxDegreesNoDup(ctx, c, vs, 3)
+		if err != nil {
+			return err
+		}
+		for x, v := range vs {
+			d, est := float64(g.Degree(v)), ests[x]
 			// Truncation under-counts: est ≤ d ≤ est·(1+2^{1-3}) per player.
 			if est > d {
 				return fmt.Errorf("v=%d: est %v > true %v", v, est, d)
@@ -233,12 +234,15 @@ func TestApproxDegreeNoDup(t *testing.T) {
 		}
 		return nil
 	})
+	if st.Rounds != 1 {
+		t.Fatalf("a list of %d vertices took %d rounds, want 1", len(vs), st.Rounds)
+	}
 }
 
 func TestApproxDegreeNoDupBadParams(t *testing.T) {
 	g := graph.Complete(4)
 	runCoord(t, g, partition.Disjoint{}, 2, 13, func(ctx context.Context, c *comm.Coordinator) error {
-		if _, err := ApproxDegreeNoDup(ctx, c, 0, 0); err == nil {
+		if _, err := ApproxDegreesNoDup(ctx, c, []int{0}, 0); err == nil {
 			return fmt.Errorf("topBits=0 accepted")
 		}
 		return nil
@@ -351,19 +355,21 @@ func TestSampleUniformCandidate(t *testing.T) {
 	sampled := map[int]bool{}
 	runCoord(t, g, partition.Duplicate{Q: 0.2}, k, 21, func(ctx context.Context, c *comm.Coordinator) error {
 		run := c.Shared.Key(testRun)
-		for i := 0; i < 400; i++ {
-			v, ok, err := SampleUniformCandidate(ctx, c, run, bIdx)
+		for wave := 0; wave < 16; wave++ {
+			vs, err := SampleUniformCandidates(ctx, c, run, bIdx, 25)
 			if err != nil {
 				return err
 			}
-			if !ok {
-				return fmt.Errorf("no candidate")
+			if len(vs) != 25 {
+				return fmt.Errorf("wave %d: %d samples, want 25", wave, len(vs))
 			}
-			// Candidate must have true degree ≥ d⁻(B)/k (it is in some B̃ᵢʲ).
-			if float64(g.Degree(v)) < float64(bucket.DegMin(bIdx))/float64(k) {
-				return fmt.Errorf("candidate %d degree %d below floor", v, g.Degree(v))
+			for _, v := range vs {
+				// Candidate must have true degree ≥ d⁻(B)/k (it is in some B̃ᵢʲ).
+				if float64(g.Degree(v)) < float64(bucket.DegMin(bIdx))/float64(k) {
+					return fmt.Errorf("candidate %d degree %d below floor", v, g.Degree(v))
+				}
+				sampled[v] = true
 			}
-			sampled[v] = true
 		}
 		return nil
 	})
@@ -379,15 +385,15 @@ func TestSampleUniformCandidate(t *testing.T) {
 // TestRequestKeyAgreement pins the request numbering every key hangs on,
 // which no golden can check: a misaligned index only biases sampling, and
 // regenerated goldens would absorb it. A fixed mix of requests runs
-// between SampleUniformCandidate picks, most of them drawing no
-// randomness, and each pick must equal the minimum, under
-// Shared.Key(testRun).Child(r), of the players' MinRankCandidate picks,
-// where r is the pick's position in the test's own count of requests. The
-// mix runs in-process and over a link that drops, duplicates and corrupts
-// frames.
+// between SampleUniformCandidates waves of 1 to 5 samples, most of them
+// drawing no randomness, and pick t of a wave must be the member of
+// B̃ᵢ = ⋃_j B̃ᵢʲ first under Shared.Key(testRun).Child(r).Child(t), where r
+// is the wave's position in the test's own count of requests. The
+// oracle computes B̃ᵢ from the players' views directly. The mix runs
+// in-process and over a link that drops, duplicates and corrupts frames.
 func TestRequestKeyAgreement(t *testing.T) {
 	g := graph.BucketStress(graph.BucketStressParams{N: 1200, Levels: 4, HubsPer: 3, TriLevel: 2}, rand.New(rand.NewSource(41)))
-	const k, picks = 4, 60
+	const k, waves = 4, 30
 	bIdx := bucket.Index(6)
 	for _, tc := range []struct {
 		name string
@@ -401,45 +407,66 @@ func TestRequestKeyAgreement(t *testing.T) {
 		if tc.dial != nil {
 			top = top.WithTransport(tc.dial)
 		}
-		run := shared.Key(testRun)
-		oracle := func(r uint64) (int, bool) {
-			key := run.Child(r)
-			best, found := -1, false
+		var union []uint64 // B̃ᵢ: local degree in [d⁻/k, d⁺] at some player
+		for v := 0; v < g.N(); v++ {
 			for j := 0; j < k; j++ {
-				if v, ok := bucket.MinRankCandidate(top.View(j), bIdx, k, key, 1); ok && (!found || key.Before(uint64(v), uint64(best))) {
-					best, found = v, true
+				if dj := top.View(j).Degree(v); dj > 0 && float64(dj) >= float64(bucket.DegMin(bIdx))/k && dj <= bucket.DegMax(bIdx) {
+					union = append(union, uint64(v))
+					break
 				}
 			}
-			return best, found
+		}
+		run := shared.Key(testRun)
+		oracle := func(r, t uint64) int {
+			key := run.Child(r).Child(t)
+			best := union[0]
+			for _, v := range union[1:] {
+				if key.Before(v, best) {
+					best = v
+				}
+			}
+			return int(best)
 		}
 		var r uint64 // requests sent so far, counted here
-		distinct := map[int]bool{}
+		picks, distinct := 0, map[int]bool{}
 		st, err := comm.RunOn(context.Background(), top, func(ctx context.Context, c *comm.Coordinator) error {
-			for i := 0; i < picks; i++ {
-				want, wantOK := oracle(r)
-				v, ok, err := SampleUniformCandidate(ctx, c, run, bIdx)
+			for i := 0; i < waves; i++ {
+				vs, err := SampleUniformCandidates(ctx, c, run, bIdx, 1+i%5)
 				if err != nil {
 					return err
 				}
-				if v != want || ok != wantOK {
-					return fmt.Errorf("pick %d (request %d): got %d (%v), want %d (%v)", i, r, v, ok, want, wantOK)
+				if len(vs) != 1+i%5 {
+					return fmt.Errorf("wave %d (request %d): %d picks, want %d", i, r, len(vs), 1+i%5)
 				}
+				for t, v := range vs {
+					if want := oracle(r, uint64(t)); v != want {
+						return fmt.Errorf("wave %d (request %d), pick %d: got %d, want %d", i, r, t, v, want)
+					}
+					distinct[v] = true
+				}
+				picks += len(vs)
 				r++
-				distinct[v] = true
 				msb := reqWriter(opCountMSB)
 				msb.WriteUvarint(uint64(modeDegree))
-				msb.WriteUvarint(uint64(v))
+				writeList(msb, vs)
 				if _, err := c.AskAll(ctx, comm.FromWriter(msb)); err != nil {
 					return err
 				}
 				r++
 				if i%2 == 0 {
-					if _, err := sampleRound(ctx, c, modeDegree, v, 64, 2); err != nil {
+					if _, err := sampleRound(ctx, c, sampleTestRequest(modeDegree, 64, vs[:1], []int{2}), 1, 64); err != nil {
 						return err
 					}
 					r++
 				}
 				if i%3 == 0 {
+					if _, err := ApproxDegreesNoDup(ctx, c, vs, 2); err != nil {
+						return err
+					}
+					r++
+				}
+				v := vs[0]
+				if i%4 == 0 {
 					if _, err := EdgeQuery(ctx, c, wire.Edge{U: v, V: (v + 1) % g.N()}); err != nil {
 						return err
 					}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
@@ -173,43 +174,69 @@ func handleCloseVees(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	return comm.FromWriter(&w), nil
 }
 
-// SampleUniformCandidate implements SampleUniformFromB̃ᵢ (Algorithm 1):
-// all parties derive a shared random order on V; each player sends its
-// first vertex (under that order) among its local candidates B̃ᵢʲ for
-// bucket i, and the coordinator returns the global first — a uniform
-// sample from B̃ᵢ = ⋃_j B̃ᵢʲ, unbiased by how many players know each
-// vertex. The order is the request's key under run, the key of the
-// players' run tag (see Serve). Returns ok=false if no player has
-// candidates.
-func SampleUniformCandidate(ctx context.Context, c *comm.Coordinator, run xrand.Key, bucketIdx int) (int, bool, error) {
-	w := reqWriter(opCandidateMinRank)
-	w.WriteUvarint(uint64(bucketIdx))
-	key := run.Child(c.Asks())
-	replies, err := c.AskAll(ctx, comm.FromWriter(w))
-	if err != nil {
-		return 0, false, err
-	}
+// SampleUniformCandidates draws w samples of SampleUniformFromB̃ᵢ
+// (Algorithm 1) in one round: all parties derive w shared random orders
+// on V; each player lists its local candidates B̃ᵢʲ for bucket i once and
+// sends its first vertex under every order, and the coordinator keeps
+// each order's global first — w independent uniform samples from
+// B̃ᵢ = ⋃_j B̃ᵢʲ, unbiased by how many players know each vertex. Sample t
+// of the request with index r is ordered by run.Child(r).Child(t), where
+// run is the key of the players' run tag (see Serve). Returns no samples
+// if no player has candidates. A wave longer than one request admits is
+// split.
+func SampleUniformCandidates(ctx context.Context, c *comm.Coordinator, run xrand.Key, bucketIdx, w int) ([]int, error) {
 	vc := wire.NewVertexCodec(c.N)
-	best, found := -1, false
-	for _, m := range replies {
-		r := m.Reader()
-		has, err := r.ReadBool()
+	var picks []int
+	for len(picks) < w {
+		wave := make([]int, min(w-len(picks), maxWave))
+		key := run.Child(c.Asks())
+		replies, err := c.AskAll(ctx, CandidateWaveRequest(bucketIdx, len(wave)))
 		if err != nil {
-			return 0, false, err
+			return nil, err
 		}
-		if !has {
-			continue
+		found := false
+		for _, m := range replies {
+			r := m.Reader()
+			has, err := r.ReadBool()
+			if err != nil {
+				return nil, err
+			}
+			if !has {
+				continue
+			}
+			for t := range wave {
+				v, err := vc.Get(r)
+				if err != nil {
+					return nil, err
+				}
+				if !found || key.Child(uint64(t)).Before(uint64(v), uint64(wave[t])) {
+					wave[t] = v
+				}
+			}
+			found = true
 		}
-		v, err := vc.Get(r)
-		if err != nil {
-			return 0, false, err
+		if !found {
+			return nil, nil
 		}
-		if !found || key.Before(uint64(v), uint64(best)) {
-			best, found = v, true
-		}
+		picks = append(picks, wave...)
 	}
-	return best, found, nil
+	return picks, nil
 }
+
+// CandidateWaveRequest is the request SampleUniformCandidates sends every
+// player for a wave of w samples from bucket bucketIdx. Benchmarks hand it
+// straight to Handle.
+func CandidateWaveRequest(bucketIdx, w int) comm.Msg {
+	req := reqWriter(opCandidateMinRank)
+	req.WriteUvarint(uint64(bucketIdx))
+	req.WriteGamma(uint64(w))
+	return comm.FromWriter(req)
+}
+
+// memberLists recycles the member lists of candidate waves. A list lives
+// for one request; allocating it afresh was half the bytes an interactive
+// trial allocated.
+var memberLists = sync.Pool{New: func() any { return new([]int) }}
 
 func handleCandidateMinRank(p *comm.Player, key xrand.Key, r *wire.Reader) (comm.Msg, error) {
 	bucketIdx, err := r.ReadUvarint()
@@ -219,20 +246,29 @@ func handleCandidateMinRank(p *comm.Player, key xrand.Key, r *wire.Reader) (comm
 	if nb := bucket.NumBuckets(p.N); bucketIdx > uint64(nb) {
 		return comm.Msg{}, fmt.Errorf("%w: bucket %d above %d", ErrBadRequest, bucketIdx, nb)
 	}
-	// Fused candidate-scan + min-rank: no candidate slice, and the vertex
-	// scan fans across the player's workers (chunk-local minima folded in
-	// chunk order under the Before total order — same winner at any width).
-	done := parRegion(p)
-	best, found := bucket.MinRankCandidate(p.View, int(bucketIdx), p.K, key, p.Workers)
-	done()
-	var w wire.Writer
-	w.WriteBool(found)
-	if found {
-		if err := wire.NewVertexCodec(p.N).Put(&w, best); err != nil {
-			return comm.Msg{}, err
+	size, err := r.ReadGamma()
+	if err != nil {
+		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if size > maxWave {
+		return comm.Msg{}, fmt.Errorf("%w: wave of %d samples exceeds %d", ErrBadRequest, size, maxWave)
+	}
+	// One has-members bit, then each sample's first member under its order.
+	list := memberLists.Get().(*[]int)
+	defer memberLists.Put(list)
+	*list = bucket.AppendMembers((*list)[:0], p.View, int(bucketIdx), p.K)
+	members := *list
+	vc := wire.NewVertexCodec(p.N)
+	w := wire.NewWriter(1 + int(size)*vc.Width())
+	w.WriteBool(len(members) > 0)
+	if len(members) > 0 {
+		for t := uint64(0); t < size; t++ {
+			if err := vc.Put(w, bucket.First(members, key.Child(t))); err != nil {
+				return comm.Msg{}, err
+			}
 		}
 	}
-	return comm.FromWriter(&w), nil
+	return comm.FromWriter(w), nil
 }
 
 // --- small shared helpers ---

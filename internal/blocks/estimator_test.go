@@ -16,13 +16,70 @@ import (
 	"tricomm/internal/xrand"
 )
 
+// guaranteeTally counts the estimates a guarantee test checked and those
+// within a factor α, separately for one-vertex calls and for one batched
+// ApproxDegrees call over the whole list.
+type guaranteeTally struct {
+	checked, single, batched int
+}
+
+// estimateBoth estimates every v in vs once with one-vertex calls and once
+// with one batched call, and tallies the estimates within a factor α of
+// g's degrees.
+func (tl *guaranteeTally) estimateBoth(ctx context.Context, c *comm.Coordinator, g *graph.Graph, vs []int, prm ApproxParams) (single, batched int, err error) {
+	within := func(v int, est float64) int {
+		if d := float64(g.Degree(v)); est >= d/prm.Alpha && est <= prm.Alpha*d {
+			return 1
+		}
+		return 0
+	}
+	for _, v := range vs {
+		est, err := ApproxDegree(ctx, c, v, prm)
+		if err != nil {
+			return 0, 0, err
+		}
+		single += within(v, est)
+	}
+	ests, err := ApproxDegrees(ctx, c, vs, prm)
+	if err != nil {
+		return 0, 0, err
+	}
+	for x, v := range vs {
+		batched += within(v, ests[x])
+	}
+	tl.checked += len(vs)
+	tl.single += single
+	tl.batched += batched
+	return single, batched, nil
+}
+
+// check fails t when the Wilson 95% upper bound of either in-range
+// fraction falls below 1−τ.
+func (tl *guaranteeTally) check(t *testing.T, prm ApproxParams) {
+	t.Helper()
+	for _, c := range []struct {
+		name   string
+		within int
+	}{{"one-vertex", tl.single}, {"batched", tl.batched}} {
+		t.Logf("%s calls: %d/%d within α", c.name, c.within, tl.checked)
+		if _, hi := stats.Wilson(c.within, tl.checked); hi < 1-prm.Tau {
+			t.Errorf("%s calls: %d/%d estimates within a factor α = %v: Wilson upper bound %.3f < 1−τ = %.2f",
+				c.name, c.within, tl.checked, prm.Alpha, hi, 1-prm.Tau)
+		}
+	}
+	if tl.checked < 100 {
+		t.Fatalf("only %d estimates checked", tl.checked)
+	}
+}
+
 // TestApproxDegreeGuarantee checks Theorem 3.1 as a property: with
 // DefaultApprox, ApproxDegree returns a value in [deg/α, α·deg] with
-// probability at least 1−τ, with and without edge duplication. It runs
-// fixed-seed instances with a spread of degrees, takes up to four
-// vertices per power-of-two degree class, and fails when the Wilson 95%
-// upper bound of the in-range fraction falls below 1−τ, i.e. when the
-// data rule out the guarantee.
+// probability at least 1−τ, with and without edge duplication, and so
+// does each estimate of one ApproxDegrees call over the whole vertex
+// list. It runs fixed-seed instances with a spread of degrees, takes up
+// to four vertices per power-of-two degree class, and fails when the
+// Wilson 95% upper bound of either in-range fraction falls below 1−τ,
+// i.e. when the data rule out the guarantee.
 func TestApproxDegreeGuarantee(t *testing.T) {
 	stress := graph.BucketStress(graph.BucketStressParams{N: 2500, Levels: 5, HubsPer: 2, TriLevel: 1}, rand.New(rand.NewSource(31)))
 	sp, err := scenario.Parse("chung-lu")
@@ -34,7 +91,7 @@ func TestApproxDegreeGuarantee(t *testing.T) {
 		t.Fatal(err)
 	}
 	prm := DefaultApprox()
-	var checked, within int
+	var tally guaranteeTally
 	for _, inst := range []struct {
 		name string
 		g    *graph.Graph
@@ -42,32 +99,15 @@ func TestApproxDegreeGuarantee(t *testing.T) {
 		vs := degreeSpread(inst.g, 4)
 		for _, pt := range []partition.Partitioner{partition.Disjoint{}, partition.Duplicate{Q: 0.5}} {
 			for _, k := range []int{2, 6} {
-				in := 0
 				runCoord(t, inst.g, pt, k, 33, func(ctx context.Context, c *comm.Coordinator) error {
-					for _, v := range vs {
-						est, err := ApproxDegree(ctx, c, v, prm)
-						if err != nil {
-							return err
-						}
-						if d := float64(inst.g.Degree(v)); est >= d/prm.Alpha && est <= prm.Alpha*d {
-							in++
-						}
-					}
-					return nil
+					single, batched, err := tally.estimateBoth(ctx, c, inst.g, vs, prm)
+					t.Logf("%s, %s, k=%d: %d/%d within α one at a time, %d batched", inst.name, pt.Name(), k, single, len(vs), batched)
+					return err
 				})
-				t.Logf("%s, %s, k=%d: %d/%d within α", inst.name, pt.Name(), k, in, len(vs))
-				checked += len(vs)
-				within += in
 			}
 		}
 	}
-	if _, hi := stats.Wilson(within, checked); hi < 1-prm.Tau {
-		t.Fatalf("%d/%d estimates within a factor α = %v: Wilson upper bound %.3f < 1−τ = %.2f",
-			within, checked, prm.Alpha, hi, 1-prm.Tau)
-	}
-	if checked < 100 {
-		t.Fatalf("only %d estimates checked", checked)
-	}
+	tally.check(t, prm)
 }
 
 // degreeSpread returns up to per vertices of each power-of-two degree
@@ -89,10 +129,10 @@ func degreeSpread(g *graph.Graph, per int) []int {
 // every registered scenario family at its defaults: the family's
 // prescribed players when it has them, otherwise Disjoint and
 // Duplicate{Q: 0.5} at k ∈ {2, 6}. The same Wilson rule applies to the
-// pooled estimates.
+// pooled one-vertex estimates and to the pooled batched ones.
 func TestApproxDegreeGuaranteeRegistry(t *testing.T) {
 	prm := DefaultApprox()
-	var checked, within int
+	var tally guaranteeTally
 	for i, name := range scenario.Names() {
 		sp, err := scenario.Parse(name)
 		if err != nil {
@@ -118,33 +158,15 @@ func TestApproxDegreeGuaranteeRegistry(t *testing.T) {
 			}
 		}
 		for _, sp := range splits {
-			in := 0
 			_, err := comm.RunOn(context.Background(), newTop(t, g.N(), sp.inputs, shared), func(ctx context.Context, c *comm.Coordinator) error {
-				for _, v := range vs {
-					est, err := ApproxDegree(ctx, c, v, prm)
-					if err != nil {
-						return err
-					}
-					if d := float64(g.Degree(v)); est >= d/prm.Alpha && est <= prm.Alpha*d {
-						in++
-					}
-				}
-				return nil
+				single, batched, err := tally.estimateBoth(ctx, c, g, vs, prm)
+				t.Logf("%s, %s: %d/%d within α one at a time, %d batched", name, sp.name, single, len(vs), batched)
+				return err
 			}, Serve(testRun))
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, sp.name, err)
 			}
-			t.Logf("%s, %s: %d/%d within α", name, sp.name, in, len(vs))
-			checked += len(vs)
-			within += in
 		}
 	}
-	t.Logf("%d/%d within α", within, checked)
-	if _, hi := stats.Wilson(within, checked); hi < 1-prm.Tau {
-		t.Fatalf("%d/%d estimates within a factor α = %v: Wilson upper bound %.3f < 1−τ = %.2f",
-			within, checked, prm.Alpha, hi, 1-prm.Tau)
-	}
-	if checked < 100 {
-		t.Fatalf("only %d estimates checked", checked)
-	}
+	tally.check(t, prm)
 }

@@ -52,19 +52,29 @@ func tag(s string) func(*wire.Writer) { return func(w *wire.Writer) { w.WriteByt
 // exponent writes a SampleTest guess exponent j as the gamma code of j+1.
 func exponent(j uint64) func(*wire.Writer) { return func(w *wire.Writer) { w.WriteGamma(j + 1) } }
 
-// validRequests holds one well-formed request per opcode.
+// count writes a list length or wave size as its gamma code.
+func count(n uint64) func(*wire.Writer) { return func(w *wire.Writer) { w.WriteGamma(n) } }
+
+var degreeMode, edgeMode = uv(uint64(modeDegree)), uv(uint64(modeEdges))
+
+// validRequests holds one well-formed request per opcode, then the list
+// and wave forms at more than one element.
 func validRequests() []*wire.Writer {
 	return []*wire.Writer{
 		request(opEdgeQuery, vertex(0), vertex(1)),
 		request(opMinRankIncident, vertex(2)),
-		request(opCountMSB, uv(uint64(modeDegree)), uv(2)),
-		request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(16), exponent(1)),
-		request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(3)),
+		request(opCountMSB, degreeMode, count(1), uv(2)),
+		request(opSampleTest, degreeMode, uv(16), count(1), uv(2), exponent(1)),
+		request(opCountTopBits, degreeMode, uv(3), count(1), uv(2)),
 		request(opCollectIncidentSample, vertex(2), float(0.5), uv(0)),
 		request(opCloseVees, vertex(2), uv(3), vertex(0), vertex(1), vertex(3)),
-		request(opCandidateMinRank, uv(1)),
+		request(opCandidateMinRank, uv(1), count(1)),
 		request(opNeighbors, vertex(2)),
 		request(opNeighborBitmap, vertex(2)),
+		request(opCountMSB, edgeMode, count(3), uv(0), uv(1<<40), uv(7)), // edge mode takes any v
+		request(opSampleTest, degreeMode, uv(100), count(3), uv(2), exponent(1), uv(0), exponent(0), uv(7), exponent(3)),
+		request(opCountTopBits, degreeMode, uv(2), count(2), uv(2), uv(6)),
+		request(opCandidateMinRank, uv(2), count(25)),
 	}
 }
 
@@ -74,14 +84,21 @@ var hostileRequests = []struct {
 	name string
 	w    *wire.Writer
 }{
-	{"count-msb vertex ≥ N", request(opCountMSB, uv(uint64(modeDegree)), uv(8))},
-	{"sample-test vertex ≥ N", request(opSampleTest, uv(uint64(modeDegree)), uv(1<<63), uv(16), exponent(1))},
-	{"count-top-bits vertex ≥ N", request(opCountTopBits, uv(uint64(modeDegree)), uv(9), uv(3))},
-	{"sample-test experiments above cap", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(maxExperiments+1), exponent(1))},
-	{"sample-test exponent above 63", request(opSampleTest, uv(uint64(modeDegree)), uv(2), uv(16), exponent(64))},
-	{"top bits ≥ 2^63", request(opCountTopBits, uv(uint64(modeDegree)), uv(2), uv(1<<63))},
-	{"bucket index 2^40", request(opCandidateMinRank, uv(1<<40))},
-	{"unknown count mode", request(opSampleTest, uv(3), uv(2), uv(16), exponent(1))},
+	{"count-msb vertex ≥ N", request(opCountMSB, degreeMode, count(1), uv(8))},
+	{"sample-test vertex ≥ N", request(opSampleTest, degreeMode, uv(16), count(1), uv(1<<63), exponent(1))},
+	{"count-top-bits vertex ≥ N", request(opCountTopBits, degreeMode, uv(3), count(1), uv(9))},
+	{"sample-test later vertex ≥ N", request(opSampleTest, degreeMode, uv(16), count(2), uv(2), exponent(1), uv(8), exponent(1))},
+	{"sample-test experiments above cap", request(opSampleTest, degreeMode, uv(maxExperiments+1), count(1), uv(2), exponent(1))},
+	{"sample-test list × experiments above cap", request(opSampleTest, degreeMode, uv(maxExperiments/2+1), count(2), uv(2), exponent(1), uv(3), exponent(1))},
+	{"sample-test list above cap", request(opSampleTest, degreeMode, uv(1), count(maxList+1))},
+	{"count-msb list above cap", request(opCountMSB, degreeMode, count(maxList+1))},
+	{"count-top-bits list above cap", request(opCountTopBits, degreeMode, uv(3), count(maxList+1))},
+	{"candidate wave above cap", request(opCandidateMinRank, uv(1), count(maxWave+1))},
+	{"sample-test exponent above 63", request(opSampleTest, degreeMode, uv(16), count(1), uv(2), exponent(64))},
+	{"top bits ≥ 2^63", request(opCountTopBits, degreeMode, uv(1<<63), count(1), uv(2))},
+	{"bucket index 2^40", request(opCandidateMinRank, uv(1<<40), count(1))},
+	{"unknown count mode", request(opSampleTest, uv(3), uv(16), count(1), uv(2), exponent(1))},
+	{"list shorter than its length", request(opCountMSB, degreeMode, count(3), uv(2), uv(3))},
 	// The layouts that carried a tag (and SampleTest's round) before
 	// requests were keyed by their index: the tag is now surplus bits.
 	{"tagged min-rank-incident", request(opMinRankIncident, vertex(2), tag("t"))},
@@ -117,56 +134,66 @@ func TestHandleRejectsHostileFields(t *testing.T) {
 
 // TestSampleTestKeys pins the player's SampleTest reply to the sampler's
 // formula, independently of the goldens. With base =
-// Shared.Key(<run tag>).Child(r) for request index r, experiment
-// i = 64w+b's bit is set when some local element e has bit 63−b set in
-// every word base.Child(64w+t).Hash(e), t < j. The oracle evaluates that
-// one bit at a time. Width 8 checks that the worker count does not matter.
+// Shared.Key(<run tag>).Child(r).Child(x) for request index r and list
+// position x, experiment i = 64w+b of vertex x sets its bit when some
+// local element e has bit 63−b set in every word base.Child(64w+t).Hash(e),
+// t < j. The oracle evaluates that one bit at a time. Width 8 checks that
+// the worker count does not matter.
 func TestSampleTestKeys(t *testing.T) {
 	cases := []struct {
-		tag        string
-		mode       countMode
-		v, r, m, j uint64
+		tag    string
+		mode   countMode
+		r, m   uint64
+		vs, js []uint64
 	}{
-		{"t", modeDegree, 2, 0, 16, 1},
-		{"unrestricted", modeDegree, 0, 3, 300, 0},
-		{"", modeDegree, 5, 7, 20, 1},
-		{strings.Repeat("long/", 20), modeDegree, 3, 12, 64, 1},
-		{"e9", modeEdges, 0, 1, 100, 2},
-		{"x", modeEdges, 1 << 63, 2, 40, 2}, // edge mode takes any v
-		{"none", modeDegree, 1, 0, 0, 1},
-		{"unrestricted", modeDegree, 2, 1 << 40, 130, 3},
+		{"t", modeDegree, 0, 16, []uint64{2}, []uint64{1}},
+		{"unrestricted", modeDegree, 3, 300, []uint64{0}, []uint64{0}},
+		{"", modeDegree, 7, 20, []uint64{5}, []uint64{1}},
+		{strings.Repeat("long/", 20), modeDegree, 12, 64, []uint64{3}, []uint64{1}},
+		{"e9", modeEdges, 1, 100, []uint64{0}, []uint64{2}},
+		{"x", modeEdges, 2, 40, []uint64{1 << 63}, []uint64{2}}, // edge mode takes any v
+		{"none", modeDegree, 1, 0, []uint64{1}, []uint64{1}},
+		{"unrestricted", modeDegree, 1 << 40, 130, []uint64{2}, []uint64{3}},
+		// A wave's list, one vertex twice: each position draws its own key.
+		{"unrestricted", modeDegree, 5, 130, []uint64{2, 0, 2, 3, 7}, []uint64{1, 0, 1, 2, 3}},
+		{"e9", modeDegree, 9, 64, []uint64{1, 2, 3}, []uint64{2, 2, 2}},
 	}
 	for _, workers := range []int{1, 8} {
 		p := handlePlayer()
 		p.Workers = workers
 		for _, tc := range cases {
-			req := request(opSampleTest, uv(uint64(tc.mode)), uv(tc.v), uv(tc.m), exponent(tc.j))
-			reply, err := Handle(p, p.Shared.Key(tc.tag), tc.r, comm.FromWriter(req))
+			fields := []func(*wire.Writer){uv(uint64(tc.mode)), uv(tc.m), count(uint64(len(tc.vs)))}
+			for x, v := range tc.vs {
+				fields = append(fields, uv(v), exponent(tc.js[x]))
+			}
+			reply, err := Handle(p, p.Shared.Key(tc.tag), tc.r, comm.FromWriter(request(opSampleTest, fields...)))
 			if err != nil {
 				t.Fatalf("workers %d, tag %q: %v", workers, tc.tag, err)
 			}
-			if got := reply.Bits(); got != int(tc.m) {
-				t.Fatalf("workers %d, tag %q: reply has %d bits, want %d", workers, tc.tag, got, tc.m)
+			if got, want := reply.Bits(), len(tc.vs)*int(tc.m); got != want {
+				t.Fatalf("workers %d, tag %q: reply has %d bits, want %d", workers, tc.tag, got, want)
 			}
-			elems := localElements(p, tc.mode, int(tc.v))
-			base := p.Shared.Key(tc.tag).Child(tc.r)
 			r := reply.Reader()
-			for i := uint64(0); i < tc.m; i++ {
-				w, b := i/64, i%64
-				want := false
-				for _, e := range elems {
-					all := true
-					for t := uint64(0); t < tc.j; t++ {
-						all = all && base.Child(64*w+t).Hash(e)>>(63-b)&1 == 1
+			for x, v := range tc.vs {
+				elems := localElements(p, tc.mode, int(v))
+				base := p.Shared.Key(tc.tag).Child(tc.r).Child(uint64(x))
+				for i := uint64(0); i < tc.m; i++ {
+					w, b := i/64, i%64
+					want := false
+					for _, e := range elems {
+						all := true
+						for t := uint64(0); t < tc.js[x]; t++ {
+							all = all && base.Child(64*w+t).Hash(e)>>(63-b)&1 == 1
+						}
+						want = want || all
 					}
-					want = want || all
-				}
-				got, err := r.ReadBool()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("workers %d, tag %q, experiment %d: bit %v, want %v", workers, tc.tag, i, got, want)
+					got, err := r.ReadBool()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("workers %d, tag %q, vertex %d, experiment %d: bit %v, want %v", workers, tc.tag, x, i, got, want)
+					}
 				}
 			}
 		}
@@ -192,7 +219,7 @@ func TestSampleTestRate(t *testing.T) {
 		for _, j := range []int{0, 1, 3, 6, 10} {
 			var set, pairs int
 			for round := 0; round < requests; round++ {
-				reply, err := Handle(p, run, uint64(round), SampleTestRequest(0, m, j))
+				reply, err := Handle(p, run, uint64(round), SampleTestRequest(m, []int{0}, []int{j}))
 				if err != nil {
 					t.Fatal(err)
 				}

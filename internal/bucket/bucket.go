@@ -8,8 +8,9 @@
 // whose incident edges are rich in disjoint vees (Definitions 4 and 5).
 //
 // The package provides the player-local candidate sets
-// B̃ᵢʲ = {v : d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ)} that the protocol actually
-// samples from (§3.3), since no single player knows true degrees. The
+// B̃ᵢʲ = {v : d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ)} (AppendMembers) that the protocol
+// actually samples from (§3.3), since no single player knows true
+// degrees, and the shared-order pick among them (First). The
 // exact analysis view (Definitions 4 and 5) lives with the tests that
 // check the protocol against it.
 package bucket
@@ -18,7 +19,6 @@ import (
 	"math"
 
 	"tricomm/internal/graph"
-	"tricomm/internal/parwork"
 	"tricomm/internal/xrand"
 )
 
@@ -105,53 +105,38 @@ func BucketRange(n int, dl, dh float64) (lo, hi int) {
 	return lo, hi
 }
 
-// minRankSerialBelow keeps MinRankCandidate serial for small universes,
-// where a fan-out costs more than the scan.
-const minRankSerialBelow = 1024
-
-// MinRankCandidate returns key.MinRank(Candidates(view, i, k)) without
-// materializing the candidate slice: one fused scan over the vertex
-// range, fanned across up to workers goroutines. Before is a strict
-// total order (hash rank with id tie-break), so taking chunk-local
-// minima and folding them in chunk order yields exactly the serial
-// scan's minimum at any worker count.
-func MinRankCandidate(view *graph.Graph, i, k int, key xrand.Key, workers int) (int, bool) {
+// AppendMembers appends to dst, and returns, B̃ᵢʲ: the vertices player j
+// can "reasonably suspect" belong to bucket i given only its local view
+// (§3.3), those whose local degree d_j(v) satisfies
+// d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ), in vertex order. By the pigeonhole
+// argument, Bᵢ ⊆ ⋃_j B̃ᵢʲ, and each B̃ᵢʲ ⊆ N_k(Bᵢ) (vertices whose true
+// degree is at least d⁻(Bᵢ)/k). Callers that list members often pass
+// last time's list as dst[:0].
+func AppendMembers(dst []int, view *graph.Graph, i, k int) []int {
 	if k < 1 {
-		panic("bucket: MinRankCandidate requires k >= 1")
+		panic("bucket: AppendMembers requires k >= 1")
 	}
 	lo := float64(DegMin(i)) / float64(k)
-	hi := DegMax(i)
-	n := view.N()
-	scan := func(vlo, vhi int) (int64, bool) {
-		best, found := -1, false
-		for v := vlo; v < vhi; v++ {
-			dj := view.Degree(v)
-			if dj > 0 && float64(dj) >= lo && dj <= hi {
-				if !found || key.Before(uint64(v), uint64(best)) {
-					best, found = v, true
-				}
-			}
-		}
-		return int64(best), found
-	}
-	if workers <= 1 || n < minRankSerialBelow {
-		b, ok := scan(0, n)
-		return int(b), ok
-	}
-	nc := parwork.NumChunks(workers, n)
-	bests := make([]int64, nc)
-	founds := make([]bool, nc)
-	parwork.ForEach(workers, n, func(c, vlo, vhi int) {
-		bests[c], founds[c] = scan(vlo, vhi)
-	})
-	best, found := -1, false
-	for c := 0; c < nc; c++ {
-		if !founds[c] {
-			continue
-		}
-		if !found || key.Before(uint64(bests[c]), uint64(best)) {
-			best, found = int(bests[c]), true
+	hi := DegMax(i) // d⁺ is exclusive in bucket terms; the candidate test is ≤ 3^i per the paper
+	for v := 0; v < view.N(); v++ {
+		dj := view.Degree(v)
+		if dj > 0 && float64(dj) >= lo && dj <= hi {
+			dst = append(dst, v)
 		}
 	}
-	return best, found
+	return dst
+}
+
+// First returns the vertex of a non-empty list that comes first in key's
+// random order: the least key.Rank, ties broken by id, as in
+// xrand.Key.Before. Every member is ranked once.
+func First(members []int, key xrand.Key) int {
+	best := members[0]
+	bestRank := key.Rank(uint64(best))
+	for _, v := range members[1:] {
+		if r := key.Rank(uint64(v)); r < bestRank || r == bestRank && v < best {
+			best, bestRank = v, r
+		}
+	}
+	return best
 }

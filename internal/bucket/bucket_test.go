@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tricomm/internal/graph"
+	"tricomm/internal/xrand"
 )
 
 func TestIndexBoundaries(t *testing.T) {
@@ -227,7 +228,7 @@ func TestCandidatesPigeonhole(t *testing.T) {
 		}
 		inCand := map[int]bool{}
 		for j := 0; j < k; j++ {
-			for _, v := range Candidates(local[j], i, k) {
+			for _, v := range AppendMembers(nil, local[j], i, k) {
 				inCand[v] = true
 			}
 		}
@@ -255,7 +256,7 @@ func TestCandidatesDegreeFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.ErdosRenyi(100, 0.15, rng)
 	for i := 1; i < NumBuckets(g.N()); i++ {
-		for _, v := range Candidates(g, i, 1) {
+		for _, v := range AppendMembers(nil, g, i, 1) {
 			if g.Degree(v) < DegMin(i) || g.Degree(v) > DegMax(i) {
 				t.Fatalf("k=1 candidate %d deg %d outside [%d,%d]",
 					v, g.Degree(v), DegMin(i), DegMax(i))
@@ -270,5 +271,29 @@ func TestCandidatesPanicsOnBadK(t *testing.T) {
 			t.Fatal("k=0 did not panic")
 		}
 	}()
-	Candidates(graph.Complete(4), 1, 0)
+	AppendMembers(nil, graph.Complete(4), 1, 0)
+}
+
+// TestFirstMatchesBefore checks First against a scan under Key.Before,
+// the order the coordinator merges the players' picks in, including
+// lists with repeated ids.
+func TestFirstMatchesBefore(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	shared := xrand.New(10)
+	for trial := 0; trial < 200; trial++ {
+		members := make([]int, 1+rng.Intn(40))
+		for i := range members {
+			members[i] = rng.Intn(64)
+		}
+		key := shared.Key("first").Child(uint64(trial))
+		want := members[0]
+		for _, v := range members[1:] {
+			if key.Before(uint64(v), uint64(want)) {
+				want = v
+			}
+		}
+		if got := First(members, key); got != want {
+			t.Fatalf("trial %d: First = %d, want %d", trial, got, want)
+		}
+	}
 }

@@ -3,8 +3,7 @@ package bucket
 import "tricomm/internal/graph"
 
 // Test oracles: the exact analysis view of §3.2 (buckets, full vertices
-// and full buckets) and the materialized candidate sets that
-// MinRankCandidate is checked against.
+// and full buckets).
 
 // Partition groups the vertices of g by bucket index. The returned slice
 // has NumBuckets(g.N()) entries; entry i lists the vertices of Bᵢ in
@@ -62,27 +61,6 @@ func FullBuckets(g *graph.Graph, eps float64) []int {
 	for i, mass := range VeeMass(g) {
 		if mass >= threshold && mass > 0 {
 			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Candidates returns B̃ᵢʲ, the vertices player j can "reasonably suspect"
-// belong to bucket i given only its local view (§3.3): vertices whose
-// local degree d_j(v) satisfies d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ). By the
-// pigeonhole argument, Bᵢ ⊆ ⋃_j B̃ᵢʲ, and each B̃ᵢʲ ⊆ N_k(Bᵢ) (vertices
-// whose true degree is at least d⁻(Bᵢ)/k).
-func Candidates(view *graph.Graph, i, k int) []int {
-	if k < 1 {
-		panic("bucket: Candidates requires k >= 1")
-	}
-	lo := float64(DegMin(i)) / float64(k)
-	hi := DegMax(i) // d⁺ is exclusive in bucket terms; the candidate test is ≤ 3^i per the paper
-	var out []int
-	for v := 0; v < view.N(); v++ {
-		dj := view.Degree(v)
-		if dj > 0 && float64(dj) >= lo && dj <= hi {
-			out = append(out, v)
 		}
 	}
 	return out

@@ -52,7 +52,7 @@ func sweep(ctx context.Context, cfg RunConfig, plans []runner.Plan) ([][]*stats.
 		}
 		for _, row := range res[pi] {
 			for i, r := range row {
-				aggs[i].Add(r.Bits, r.Found, r.Phases.All())
+				aggs[i].Add(r.Bits, r.Rounds, r.Found, r.Phases.All())
 			}
 		}
 		out[pi] = aggs
@@ -78,7 +78,7 @@ func e1Unrestricted() Experiment {
 		PaperClaim: "Table 1 row 1 / Thm 3.20: Õ(k·(nd)^{1/4} + k²) bits, all degrees",
 		Run: func(ctx context.Context, cfg RunConfig) (*Table, error) {
 			t := &Table{
-				Columns: []string{"n", "d", "k", "eps", "trials", "found", "total_bits", "cand_bits", "edge_bits", "edge/(k·(nd)^1/4)"},
+				Columns: []string{"n", "d", "k", "eps", "trials", "found", "rounds", "total_bits", "cand_bits", "edge_bits", "edge/(k·(nd)^1/4)"},
 			}
 			ns := []int{512, 1024, 2048, 4096}
 			if cfg.Quick {
@@ -119,7 +119,7 @@ func e1Unrestricted() Experiment {
 				s := a.Summary()
 				edge := a.PhaseMeans["edges"]
 				norm := edge / (float64(p.k) * math.Pow(float64(p.n)*d, 0.25))
-				t.AddRow(p.n, d, p.k, eps, trials, a.Found, s.Mean, a.PhaseMeans["candidates"], edge, norm)
+				t.AddRow(p.n, d, p.k, eps, trials, a.Found, a.MeanRounds, s.Mean, a.PhaseMeans["candidates"], edge, norm)
 				if pi < len(ns) {
 					xs = append(xs, float64(p.n)*d)
 					ys = append(ys, edge+1)
@@ -426,11 +426,11 @@ func e9ApproxDegree() Experiment {
 				}
 				_, err = comm.RunOn(ctx, top,
 					func(ctx context.Context, c *comm.Coordinator) error {
-						est, err := blocks.ApproxDegreeNoDup(ctx, c, v, 3)
+						est, err := blocks.ApproxDegreesNoDup(ctx, c, []int{v}, 3)
 						if err != nil {
 							return err
 						}
-						r.nodupEst = est
+						r.nodupEst = est[0]
 						r.nodupBits = c.Stats().TotalBits
 						return nil
 					}, blocks.Serve("e9"))

@@ -187,6 +187,8 @@ type TrialResult struct {
 	Bits int64
 	// MaxPlayerBits is the largest per-player channel traffic.
 	MaxPlayerBits int64
+	// Rounds is the run's round count.
+	Rounds int64
 	// Found reports whether the run exhibited a triangle.
 	Found bool
 	// Phases is the protocol-level per-phase bit attribution (empty when
@@ -218,6 +220,7 @@ func (p Plan) runTrialInto(ctx context.Context, a *Arena, trial int, row []Trial
 		row[i] = TrialResult{
 			Bits:          res.Stats.TotalBits,
 			MaxPlayerBits: res.Stats.MaxPlayerBits(),
+			Rounds:        res.Stats.Rounds,
 			Found:         res.Found(),
 			Phases:        res.Phases,
 		}

@@ -114,6 +114,7 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 	posted := bitset.Get(n)
 	defer bitset.Put(posted)
 
+	members := make([][]int, len(players))
 	board.BeginPhase("buckets")
 	for i := lo; i <= hi; i++ {
 		board.Round()
@@ -123,29 +124,30 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 		}
 		var cands []cand
 		seen.Reset(n)
+		// Each player lists its bucket members once; a sample ranks the
+		// list, not the whole view.
+		for j, p := range players {
+			members[j] = bucket.AppendMembers(members[j][:0], p.View(), i, k)
+		}
 		for count := 0; count < q && len(cands) < keep; count++ {
 			// Candidate sampling: every player posts its min-rank local
 			// candidate; the global minimum is public.
 			key := top.Shared().Key(fmt.Sprintf("cand/%s/b%d/s%d", tag, i, count))
 			best, found := -1, false
-			for _, p := range players {
-				// Fused candidate-scan + min-rank, fanned across the
-				// player's intra-phase workers (same winner at any width).
-				done := boardParRegion(board, p.Workers)
-				lv, ok := bucket.MinRankCandidate(p.View(), i, k, key, p.Workers)
-				done()
+			for j, p := range players {
 				var w wire.Writer
-				w.WriteBool(ok)
-				if ok {
+				w.WriteBool(len(members[j]) > 0)
+				if len(members[j]) > 0 {
+					lv := bucket.First(members[j], key)
 					if err := vc.Put(&w, lv); err != nil {
 						return res, err
+					}
+					if !found || key.Before(uint64(lv), uint64(best)) {
+						best, found = lv, true
 					}
 				}
 				if err := board.Post(p.ID, comm.FromWriter(&w)); err != nil {
 					return res, err
-				}
-				if ok && (!found || key.Before(uint64(lv), uint64(best))) {
-					best, found = lv, true
 				}
 			}
 			if !found {

@@ -3,9 +3,12 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"tricomm/internal/blocks"
+	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
 	"tricomm/internal/partition"
@@ -435,5 +438,51 @@ func TestUnrestrictedNoDupVariant(t *testing.T) {
 	}
 	if nodupBits*2 >= dupBits {
 		t.Fatalf("no-dup variant not substantially cheaper: %d vs %d bits", nodupBits, dupBits)
+	}
+}
+
+// TestCandidateWaveRounds pins the round cost of the candidate phase: a
+// bucket whose first wave fills keep takes one sampling round, one MSB
+// round and at most R guessing rounds (R = ApproxParams.Rounds), 2 + R in
+// all, or two rounds under AssumeDisjoint, however large keep is. One
+// round per sample would take at least 2·keep. The instance is the
+// circulant graph v ~ v±1, v±2, v±3 on 8192 vertices, all of degree 6,
+// so B̃₂ is almost every vertex and each estimate lands in the window.
+func TestCandidateWaveRounds(t *testing.T) {
+	const n, k = 8192, 4
+	edges := make([]graph.Edge, 0, 3*n)
+	for v := 0; v < n; v++ {
+		for s := 1; s <= 3; s++ {
+			edges = append(edges, graph.Edge{U: v, V: (v + s) % n})
+		}
+	}
+	g := graph.FromEdges(n, edges)
+	top := topFor(t, g, partition.Disjoint{}, k, 5)
+	tun := DefaultUnrestrictedTunables()
+	lnN := math.Log(n)
+	q := int(math.Ceil(tun.CandidateFactor * k * lnN))
+	keep := int(math.Ceil(tun.KeepFactor * lnN))
+	rcap := blocks.ApproxParams{Alpha: tun.DegreeAlpha, Tau: 0.02}.Rounds(k)
+	for _, tc := range []struct {
+		disjoint bool
+		maxRound int64
+	}{{false, int64(2 + rcap)}, {true, 2}} {
+		u := Unrestricted{Eps: 0.2, AssumeDisjoint: tc.disjoint, Tag: "waves"}
+		var got int
+		st, err := comm.RunOn(context.Background(), top, func(ctx context.Context, c *comm.Coordinator) error {
+			cands, err := u.fullCandidates(ctx, c, c.Shared.Key(u.Tag), bucket.Index(6), q, keep, math.Sqrt(tun.DegreeAlpha), tun)
+			got = len(cands)
+			return err
+		}, blocks.Serve(u.Tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != keep {
+			t.Fatalf("disjoint=%v: %d candidates, want keep = %d", tc.disjoint, got, keep)
+		}
+		if st.Rounds > tc.maxRound {
+			t.Fatalf("disjoint=%v: %d candidates took %d rounds, want at most %d", tc.disjoint, keep, st.Rounds, tc.maxRound)
+		}
+		t.Logf("disjoint=%v: %d candidates in %d rounds (cap %d)", tc.disjoint, keep, st.Rounds, tc.maxRound)
 	}
 }

@@ -195,6 +195,12 @@ func attributePhases(res *Result, stats comm.Stats) {
 	res.Phases.Set("buckets", stats.TotalBits-res.Phases.Get("estimate"))
 }
 
+// candidate is a degree-filtered vertex of B̃ᵢ and its degree estimate.
+type candidate struct {
+	v    int
+	dEst float64
+}
+
 // findTriangleVee is FindTriangleVee(Bᵢ) (Algorithm 5): gather full-vertex
 // candidates, then sample each candidate's incident edges and try to close
 // a vee.
@@ -202,53 +208,13 @@ func (u Unrestricted) findTriangleVee(
 	ctx context.Context, c *comm.Coordinator, run xrand.Key,
 	bucketIdx, q, keep int, sqrtA, lnN float64, t UnrestrictedTunables,
 ) (tri graph.Triangle, found bool, err error) {
-	type cand struct {
-		v    int
-		dEst float64
-	}
-	var cands []cand
-	seen := bitset.Get(c.N)
-	defer bitset.Put(seen)
-	// GetFullCandidates (Algorithm 3): up to q uniform samples from B̃ᵢ,
-	// degree-filtered to ~N(Bᵢ) — candidate work is the k²·polylog
-	// additive term, metered under the "candidates" phase.
-	c.BeginPhase("candidates")
-	for count := 0; count < q && len(cands) < keep; count++ {
-		v, ok, serr := blocks.SampleUniformCandidate(ctx, c, run, bucketIdx)
-		if serr != nil {
-			return tri, false, serr
-		}
-		if !ok {
-			break // no player has candidates for this bucket
-		}
-		if seen.Has(v) {
-			continue
-		}
-		seen.Add(v)
-		var dEst float64
-		var derr error
-		if u.AssumeDisjoint {
-			// Lemma 3.2: deterministic truncated-sum estimate; it only
-			// under-counts, by at most a (1 + 2^{1-topBits}) = 1.5 factor.
-			dEst, derr = blocks.ApproxDegreeNoDup(ctx, c, v, 2)
-		} else {
-			dEst, derr = blocks.ApproxDegree(ctx, c, v, blocks.ApproxParams{Alpha: t.DegreeAlpha, Tau: 0.02})
-		}
-		if derr != nil {
-			return tri, false, derr
-		}
-		loD := float64(bucket.DegMin(bucketIdx)) / sqrtA
-		hiD := float64(bucket.DegMax(bucketIdx)) * sqrtA
-		if u.AssumeDisjoint {
-			loD = float64(bucket.DegMin(bucketIdx)) / 1.5
-			hiD = float64(bucket.DegMax(bucketIdx))
-		}
-		if dEst >= loD && dEst <= hiD {
-			cands = append(cands, cand{v: v, dEst: dEst})
-		}
+	cands, err := u.fullCandidates(ctx, c, run, bucketIdx, q, keep, sqrtA, t)
+	if err != nil {
+		return tri, false, err
 	}
 	// SampleEdges + close (Algorithms 4–5) — the k·(nd)^{1/4} term,
-	// metered under the "edges" phase.
+	// metered under the "edges" phase. It runs one candidate at a time
+	// and stops at the first closed vee.
 	c.BeginPhase("edges")
 	for _, cd := range cands {
 		dHat := cd.dEst
@@ -276,4 +242,69 @@ func (u Unrestricted) findTriangleVee(
 		}
 	}
 	return tri, false, nil
+}
+
+// fullCandidates is GetFullCandidates (Algorithm 3): up to q uniform
+// samples from B̃ᵢ, degree-filtered to ~N(Bᵢ), keeping at most keep —
+// candidate work is the k²·polylog additive term, metered under the
+// "candidates" phase. The samples are independent, so they are drawn in
+// waves: one round draws w = min(q − drawn, keep − kept) samples, and one
+// estimator pass filters the wave's fresh vertices. Each sample adds at
+// most one candidate, so a wave cannot pass keep, and the waves draw the
+// samples a one-at-a-time loop would: duplicates are skipped in sample
+// order and the candidates keep that order. A wave costs one round plus
+// 1 + R estimator rounds (R = ApproxParams.Rounds), or one more round
+// under AssumeDisjoint, however many samples it holds.
+func (u Unrestricted) fullCandidates(
+	ctx context.Context, c *comm.Coordinator, run xrand.Key,
+	bucketIdx, q, keep int, sqrtA float64, t UnrestrictedTunables,
+) ([]candidate, error) {
+	c.BeginPhase("candidates")
+	loD := float64(bucket.DegMin(bucketIdx)) / sqrtA
+	hiD := float64(bucket.DegMax(bucketIdx)) * sqrtA
+	if u.AssumeDisjoint {
+		loD = float64(bucket.DegMin(bucketIdx)) / 1.5
+		hiD = float64(bucket.DegMax(bucketIdx))
+	}
+	var cands []candidate
+	seen := bitset.Get(c.N)
+	defer bitset.Put(seen)
+	for count := 0; count < q && len(cands) < keep; {
+		w := min(q-count, keep-len(cands))
+		vs, err := blocks.SampleUniformCandidates(ctx, c, run, bucketIdx, w)
+		if err != nil {
+			return nil, err
+		}
+		if len(vs) == 0 {
+			break // no player has candidates for this bucket
+		}
+		count += w
+		fresh := vs[:0]
+		for _, v := range vs {
+			if !seen.Has(v) {
+				seen.Add(v)
+				fresh = append(fresh, v)
+			}
+		}
+		if len(fresh) == 0 {
+			continue
+		}
+		var ests []float64
+		if u.AssumeDisjoint {
+			// Lemma 3.2: deterministic truncated-sum estimate; it only
+			// under-counts, by at most a (1 + 2^{1-topBits}) = 1.5 factor.
+			ests, err = blocks.ApproxDegreesNoDup(ctx, c, fresh, 2)
+		} else {
+			ests, err = blocks.ApproxDegrees(ctx, c, fresh, blocks.ApproxParams{Alpha: t.DegreeAlpha, Tau: 0.02})
+		}
+		if err != nil {
+			return nil, err
+		}
+		for x, v := range fresh {
+			if ests[x] >= loD && ests[x] <= hiD {
+				cands = append(cands, candidate{v: v, dEst: ests[x]})
+			}
+		}
+	}
+	return cands, nil
 }

@@ -141,14 +141,17 @@ func TestAbortedTrialsDegradeToPartial(t *testing.T) {
 }
 
 // TestTrialTimeoutAborts pins the per-trial deadline: a trial that cannot
-// finish inside trial_timeout_ms is retried and then recorded aborted.
+// finish inside trial_timeout_ms is retried and then recorded aborted. The
+// instance must keep a whole trial several times over the 1 ms budget: at
+// n = 16384 an uninterrupted trial of this job takes about 7 ms on a 2-vCPU
+// VM, while at n = 1024 the candidate waves finish one in about 1 ms.
 func TestTrialTimeoutAborts(t *testing.T) {
 	cl, shutdown := newTestServer(t, Config{Workers: 1})
 	defer shutdown()
 	ctx := context.Background()
 
 	spec := faultyJob(1, 9, "")
-	spec.Graph.Spec.N = 1024
+	spec.Graph.Spec.N = 16384
 	spec.TrialTimeoutMS = 1
 	spec.MaxFailedTrials = 1
 	ji, err := cl.Submit(ctx, spec)
@@ -160,7 +163,7 @@ func TestTrialTimeoutAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fin.State != StatePartial || len(fin.Results) != 1 || !fin.Results[0].Aborted {
-		t.Fatalf("1ms trial budget on a 1024-vertex interactive session: %+v (%s)", fin.Results, fin.Error)
+		t.Fatalf("1ms trial budget on a 16384-vertex interactive session: %+v (%s)", fin.Results, fin.Error)
 	}
 }
 

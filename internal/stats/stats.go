@@ -125,15 +125,17 @@ func WilsonZ(successes, trials int, z float64) (lo, hi float64) {
 
 // TrialAggregator folds one tester's per-trial outcomes over a sweep
 // point into the aggregates the experiment tables report: the per-trial
-// total bits (for Summarize), the detection count, and the mean per-phase
-// bit attribution. Trials must be added in trial order — the phase means
-// are running sums of v/trials, so the floating-point result depends on
-// fold order, and trial order is what the harness's determinism contract
-// (identical tables at any worker count) pins down.
+// total bits (for Summarize), the mean round count, the detection count,
+// and the mean per-phase bit attribution. Trials must be added in trial
+// order — the means are running sums of v/trials, so the floating-point
+// result depends on fold order, and trial order is what the harness's
+// determinism contract (identical tables at any worker count) pins down.
 type TrialAggregator struct {
 	trials int
 	// Bits is the per-trial total communication, in trial order.
 	Bits []float64
+	// MeanRounds is the mean number of rounds per trial.
+	MeanRounds float64
 	// Found counts the trials that exhibited a triangle.
 	Found int
 	// PhaseMeans is the mean per-phase bit attribution across trials.
@@ -149,8 +151,9 @@ func NewTrialAggregator(trials int) *TrialAggregator {
 // Add folds one trial's outcome. phases may be nil; protocols hand their
 // fixed-slot phase tables over as an iterator, so no per-trial map is
 // materialized on the way into the aggregator.
-func (a *TrialAggregator) Add(totalBits int64, found bool, phases iter.Seq2[string, int64]) {
+func (a *TrialAggregator) Add(totalBits, rounds int64, found bool, phases iter.Seq2[string, int64]) {
 	a.Bits = append(a.Bits, float64(totalBits))
+	a.MeanRounds += float64(rounds) / float64(a.trials)
 	if found {
 		a.Found++
 	}

@@ -109,12 +109,15 @@ func TestWilsonReferenceValues(t *testing.T) {
 
 func TestTrialAggregator(t *testing.T) {
 	a := NewTrialAggregator(4)
-	a.Add(100, true, maps.All(map[string]int64{"edges": 40, "candidates": 60}))
-	a.Add(200, false, maps.All(map[string]int64{"edges": 80, "candidates": 120}))
-	a.Add(300, true, nil)
-	a.Add(400, true, maps.All(map[string]int64{"edges": 120}))
+	a.Add(100, 10, true, maps.All(map[string]int64{"edges": 40, "candidates": 60}))
+	a.Add(200, 20, false, maps.All(map[string]int64{"edges": 80, "candidates": 120}))
+	a.Add(300, 1, true, nil)
+	a.Add(400, 5, true, maps.All(map[string]int64{"edges": 120}))
 	if a.Found != 3 {
 		t.Fatalf("Found = %d, want 3", a.Found)
+	}
+	if got := a.MeanRounds; math.Abs(got-9) > 1e-12 {
+		t.Fatalf("mean rounds = %v, want 9", got)
 	}
 	if got := a.Summary().Mean; got != 250 {
 		t.Fatalf("mean = %v, want 250", got)
@@ -140,7 +143,7 @@ func TestTrialAggregatorMatchesSequentialFold(t *testing.T) {
 	}
 	a := NewTrialAggregator(trials)
 	for _, v := range vals {
-		a.Add(v, false, maps.All(map[string]int64{"p": v}))
+		a.Add(v, 0, false, maps.All(map[string]int64{"p": v}))
 	}
 	if got := a.PhaseMeans["p"]; got != want {
 		t.Fatalf("fold mismatch: %v != %v", got, want)
