@@ -665,6 +665,32 @@ func coreBenchmarks() []namedBench {
 			}
 			b.ReportMetric(float64(bits)/float64(b.N), "bits/op")
 		}},
+		{"protocol/simoblivious-session", func(b *testing.B) {
+			// perfbench's oneround bipartite shape: each player's local
+			// average is about 4, so it runs nine instances, five of them
+			// low-degree ones that share one R sample.
+			g := tricomm.BipartiteGraph(16384, 8, 7)
+			cluster, err := tricomm.Split(g, 8, tricomm.SplitDuplicate, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := cluster.Session(tricomm.Options{Protocol: tricomm.SimultaneousOblivious, Eps: 0.2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var bits int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, terr := s.Test(ctx)
+				if terr != nil {
+					b.Fatal(terr)
+				}
+				bits += rep.Bits
+			}
+			b.ReportMetric(float64(bits)/float64(b.N), "bits/op")
+		}},
 		{"protocol/unrestricted", func(b *testing.B) {
 			g, _ := tricomm.FarGraph(512, 8, 0.2, 11)
 			cluster, err := tricomm.Split(g, 4, tricomm.SplitDisjoint, 11)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tricomm/internal/bucket"
@@ -267,17 +268,37 @@ func TestApproxDistinctEdges(t *testing.T) {
 	}
 }
 
+// TestCrossSampleEdgesFilter pins the two-step draw, TouchingEdgesN then
+// CrossEdges, against one filter over all edges with Bernoulli point
+// queries, at every width and for samples from empty to full.
 func TestCrossSampleEdgesFilter(t *testing.T) {
-	keyR := xrand.New(1).Key("r")
-	keyS := xrand.New(1).Key("s")
-	edges := []wire.Edge{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}}
-	out := CrossSampleEdgesN(edges, keyR, keyS, 1.0, 0.0, 1)
-	if len(out) != 3 {
-		t.Fatalf("pR=1 should keep all edges, kept %d", len(out))
-	}
-	out = CrossSampleEdgesN(edges, keyR, keyS, 0.0, 1.0, 1)
-	if len(out) != 0 {
-		t.Fatalf("pR=0 should drop all edges, kept %d", len(out))
+	rng := rand.New(rand.NewSource(21))
+	edges := graph.ErdosRenyi(400, 0.05, rng).Edges()
+	keyR := xrand.New(2).Key("r")
+	keyS := xrand.New(2).Key("s")
+	for _, pR := range []float64{0, 0.05, 0.3, 1} {
+		for _, pS := range []float64{0, 0.2, 1} {
+			var want []wire.Edge
+			for _, e := range edges {
+				ru, rv := keyR.Bernoulli(uint64(e.U), pR), keyR.Bernoulli(uint64(e.V), pR)
+				if (ru && rv) || (ru && keyS.Bernoulli(uint64(e.V), pS)) || (rv && keyS.Bernoulli(uint64(e.U), pS)) {
+					want = append(want, e)
+				}
+			}
+			switch {
+			case pR == 0 && len(want) != 0:
+				t.Fatalf("pR=0 should drop all edges, kept %d", len(want))
+			case pR == 1 && len(want) != len(edges):
+				t.Fatalf("pR=1 should keep all edges, kept %d of %d", len(want), len(edges))
+			}
+			for _, w := range []int{1, 4, 8} {
+				r := keyR.Sample(pR)
+				got := CrossEdges(TouchingEdgesN(edges, r, w), r, keyS.Sample(pS))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pR=%v pS=%v w=%d: two steps keep %d edges, one filter %d", pR, pS, w, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 

@@ -14,19 +14,41 @@ import (
 	"tricomm/internal/xrand"
 )
 
-// CrossSampleEdgesN filters edges to those with one endpoint in the
-// Bernoulli sample R = keyR(pR) and the other in R ∪ S, S = keyS(pS),
-// the edge set of the low-degree simultaneous tester (Algorithm 8); the
-// simultaneous protocols apply it player-side. It fans across up to
-// workers goroutines. Both membership tests are pure point queries of
-// shared keys and the filter preserves input order, so the output is
-// bit-identical to the serial loop at any width.
-func CrossSampleEdgesN(edges []wire.Edge, keyR, keyS xrand.Key, pR, pS float64, workers int) []wire.Edge {
-	inR := func(v int) bool { return keyR.Bernoulli(uint64(v), pR) }
-	inS := func(v int) bool { return keyS.Bernoulli(uint64(v), pS) }
+// TouchingEdgesN returns, in input order, the edges with an endpoint in
+// r: the first of two steps that draw the low-degree simultaneous
+// tester's edge set (Algorithm 8), CrossEdges being the second. Every edge
+// of that set touches R, so a player whose instances share R draws this
+// list once. It fans across up to workers goroutines; membership is a
+// pure point query, so the list is bit-identical to the serial loop at
+// any width.
+func TouchingEdgesN(edges []wire.Edge, r xrand.Sample, workers int) []wire.Edge {
 	return parwork.Filter(workers, edges, func(_ int, e wire.Edge) bool {
-		ru, rv := inR(e.U), inR(e.V)
-		return (ru && rv) || (ru && inS(e.V)) || (rv && inS(e.U))
+		return r.Has(uint64(e.U)) || r.Has(uint64(e.V))
+	})
+}
+
+// CrossEdges returns, in input order, the edges of touching with one
+// endpoint in r and the other in r ∪ s:
+// (u∈R ∧ v∈R) ∨ (u∈R ∧ v∈S) ∨ (v∈R ∧ u∈S). On TouchingEdgesN's list it
+// keeps the edges, in the order, that one filter over all edges keeps.
+// That list is about 2C/√n of a player's edges, so the scan is serial.
+func CrossEdges(touching []wire.Edge, r, s xrand.Sample) []wire.Edge {
+	var out []wire.Edge
+	for _, e := range touching {
+		ru, rv := r.Has(uint64(e.U)), r.Has(uint64(e.V))
+		if (ru && rv) || (ru && s.Has(uint64(e.V))) || (rv && s.Has(uint64(e.U))) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// InducedEdgesN returns, in input order, the edges with both endpoints in
+// s: the edge set of the high-degree simultaneous tester (Algorithm 7).
+// It fans across up to workers goroutines, bit-identical at any width.
+func InducedEdgesN(edges []wire.Edge, s xrand.Sample, workers int) []wire.Edge {
+	return parwork.Filter(workers, edges, func(_ int, e wire.Edge) bool {
+		return s.Has(uint64(e.U)) && s.Has(uint64(e.V))
 	})
 }
 

@@ -252,7 +252,7 @@ func e2cOblivious() Experiment {
 				// One topology per trial serves both testers.
 				plans[pi] = planFor(cfg, trials, farGen(p.n, p.d, eps), partition.Disjoint{}, k,
 					func(g *graph.Graph, trial int) runner.Tester {
-						return protocol.SimOblivious{Eps: eps, Delta: 0.1,
+						return protocol.SimOblivious{Eps: eps,
 							Tag: fmt.Sprintf("e2c/%s/%d/%d", p.regime, p.n, trial)}
 					},
 					func(g *graph.Graph, trial int) runner.Tester {
@@ -303,7 +303,7 @@ func e7TestingVsExact() Experiment {
 							Tag: fmt.Sprintf("e7u/%d/%d", n, trial)}
 					},
 					func(g *graph.Graph, trial int) runner.Tester {
-						return protocol.SimOblivious{Eps: eps, Delta: 0.1,
+						return protocol.SimOblivious{Eps: eps,
 							Tag: fmt.Sprintf("e7s/%d/%d", n, trial)}
 					})
 			}

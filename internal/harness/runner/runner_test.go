@@ -127,7 +127,7 @@ func TestPlanDeterministicAcrossJobs(t *testing.T) {
 		K:           3,
 		Testers: []func(g *graph.Graph, trial int) Tester{
 			func(g *graph.Graph, trial int) Tester {
-				return protocol.SimOblivious{Eps: 0.25, Delta: 0.1,
+				return protocol.SimOblivious{Eps: 0.25,
 					Tag: fmt.Sprintf("det/%d", trial)}
 			},
 			func(g *graph.Graph, trial int) Tester {

@@ -7,7 +7,6 @@ import (
 
 	"tricomm/internal/blocks"
 	"tricomm/internal/comm"
-	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
@@ -26,8 +25,6 @@ import (
 type SimOblivious struct {
 	// Eps is the farness parameter.
 	Eps float64
-	// Delta is the error target used to size the caps.
-	Delta float64
 	// Tunables are the constant factors shared with SimHigh/SimLow.
 	Tunables SimTunables
 	// Tag scopes the shared randomness.
@@ -83,62 +80,10 @@ func (s SimOblivious) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 	if tag == "" {
 		tag = "simobl"
 	}
-	t := s.Tunables.orDefault()
 	n := top.N()
-	sqrtN := math.Sqrt(float64(n))
 	var res Result
 	stats, err := comm.RunSimultaneousOn(ctx, top,
-		func(pl *comm.SimPlayer) (comm.Msg, error) {
-			localAvg := 2 * float64(len(pl.Edges)) / math.Max(float64(pl.N), 1)
-			lo, hi := s.guessRange(localAvg, pl.N, pl.K)
-			var w wire.Writer
-			w.WriteUvarint(uint64(hi - lo + 1))
-			ec := wire.NewEdgeCodec(pl.N)
-			for exp := lo; exp <= hi; exp++ {
-				guess := math.Pow(2, float64(exp))
-				var out []wire.Edge
-				var capPer int
-				if guess >= sqrtN {
-					// AlgHigh instance for this guess.
-					pS := t.C * math.Cbrt(float64(n)*float64(n)/(s.Eps*guess)) / float64(n)
-					if pS > 1 {
-						pS = 1
-					}
-					key := pl.Shared.Key(fmt.Sprintf("vsample/%s/high/%d", tag, exp))
-					done := simParRegion(pl)
-					out = parwork.Filter(pl.Workers, pl.Edges, func(_ int, e wire.Edge) bool {
-						return key.Bernoulli(uint64(e.U), pS) && key.Bernoulli(uint64(e.V), pS)
-					})
-					done()
-					capPer = s.instanceCapHigh(n, localAvg)
-				} else {
-					// AlgLow instance; R is shared across every low
-					// instance (of every player), S depends on the guess.
-					p1 := 1.0
-					if guess > t.C {
-						p1 = t.C / guess
-					}
-					p2 := t.C / sqrtN
-					if p2 > 1 {
-						p2 = 1
-					}
-					keyR := pl.Shared.Key("vsample/" + tag + "/R")
-					keyS := pl.Shared.Key(fmt.Sprintf("vsample/%s/low/%d", tag, exp))
-					done := simParRegion(pl)
-					out = blocks.CrossSampleEdgesN(pl.Edges, keyR, keyS, p2, p1, pl.Workers)
-					done()
-					capPer = s.instanceCapLow(n)
-				}
-				if len(out) > capPer {
-					out = out[:capPer]
-				}
-				w.WriteUvarint(uint64(exp))
-				if err := ec.PutEdgeList(&w, out); err != nil {
-					return comm.Msg{}, err
-				}
-			}
-			return comm.FromWriter(&w), nil
-		},
+		func(pl *comm.SimPlayer) (comm.Msg, error) { return s.message(pl, tag) },
 		func(_ *xrand.Shared, msgs []comm.Msg) error {
 			r, err := simRefereeResult(n, msgs, decodeInstanceLists(n), top.IntraWorkers())
 			if err != nil {
@@ -149,6 +94,62 @@ func (s SimOblivious) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 		})
 	res.Stats = stats
 	return res, err
+}
+
+// message is player pl's message: an instance count, then per guess
+// exponent the exponent and the instance's capped edge list. The low
+// instances share R, so the player lists its edges that touch R once and
+// each low instance filters only that list; each high instance is one
+// pass over all the player's edges under its own sample.
+func (s SimOblivious) message(pl *comm.SimPlayer, tag string) (comm.Msg, error) {
+	t := s.Tunables.orDefault()
+	n := pl.N
+	sqrtN := math.Sqrt(float64(n))
+	localAvg := 2 * float64(len(pl.Edges)) / math.Max(float64(n), 1)
+	lo, hi := s.guessRange(localAvg, n, pl.K)
+	r := pl.Shared.Key("vsample/" + tag + "/R").Sample(math.Min(t.C/sqrtN, 1))
+	var touching []wire.Edge
+	if math.Pow(2, float64(lo)) < sqrtN {
+		// Guesses rise with the exponent, so the low instances are a
+		// prefix of [lo, hi], present exactly when the first one is.
+		done := simParRegion(pl)
+		touching = blocks.TouchingEdgesN(pl.Edges, r, pl.Workers)
+		done()
+	}
+	var w wire.Writer
+	w.WriteUvarint(uint64(hi - lo + 1))
+	ec := wire.NewEdgeCodec(n)
+	for exp := lo; exp <= hi; exp++ {
+		guess := math.Pow(2, float64(exp))
+		var out []wire.Edge
+		var capPer int
+		if guess >= sqrtN {
+			// AlgHigh instance for this guess.
+			pS := math.Min(t.C*math.Cbrt(float64(n)*float64(n)/(s.Eps*guess))/float64(n), 1)
+			sample := pl.Shared.Key(fmt.Sprintf("vsample/%s/high/%d", tag, exp)).Sample(pS)
+			done := simParRegion(pl)
+			out = blocks.InducedEdgesN(pl.Edges, sample, pl.Workers)
+			done()
+			capPer = s.instanceCapHigh(n, localAvg)
+		} else {
+			// AlgLow instance; S depends on the guess.
+			p1 := 1.0
+			if guess > t.C {
+				p1 = t.C / guess
+			}
+			sample := pl.Shared.Key(fmt.Sprintf("vsample/%s/low/%d", tag, exp)).Sample(p1)
+			out = blocks.CrossEdges(touching, r, sample)
+			capPer = s.instanceCapLow(n)
+		}
+		if len(out) > capPer {
+			out = out[:capPer]
+		}
+		w.WriteUvarint(uint64(exp))
+		if err := ec.PutEdgeList(&w, out); err != nil {
+			return comm.Msg{}, err
+		}
+	}
+	return comm.FromWriter(&w), nil
 }
 
 // ExactBaseline is the exact triangle-detection baseline: every player

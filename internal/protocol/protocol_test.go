@@ -67,7 +67,7 @@ func testersFor(eps, d float64) []Tester {
 		UnrestrictedBlackboard{Eps: eps, AvgDegree: d},
 		SimHigh{Eps: eps, AvgDegree: d, Delta: 0.1},
 		SimLow{Eps: eps, AvgDegree: d, Delta: 0.1},
-		SimOblivious{Eps: eps, Delta: 0.1},
+		SimOblivious{Eps: eps},
 		ExactBaseline{},
 	}
 }
@@ -219,14 +219,14 @@ func TestSimHighCompleteness(t *testing.T) {
 func TestSimObliviousCompletenessBothRegimes(t *testing.T) {
 	gLow, epsLow := farLowDegree(9)
 	rate := completeness(t, func(seed uint64) Tester {
-		return SimOblivious{Eps: epsLow, Delta: 0.1, Tag: fmt.Sprintf("l%d", seed)}
+		return SimOblivious{Eps: epsLow, Tag: fmt.Sprintf("l%d", seed)}
 	}, gLow, partition.Disjoint{}, 4, 10)
 	if rate < 0.7 {
 		t.Fatalf("oblivious low-degree completeness %.2f < 0.7", rate)
 	}
 	gHigh, epsHigh := farHighDegree(10)
 	rate = completeness(t, func(seed uint64) Tester {
-		return SimOblivious{Eps: epsHigh, Delta: 0.1, Tag: fmt.Sprintf("h%d", seed)}
+		return SimOblivious{Eps: epsHigh, Tag: fmt.Sprintf("h%d", seed)}
 	}, gHigh, partition.Disjoint{}, 4, 10)
 	if rate < 0.7 {
 		t.Fatalf("oblivious high-degree completeness %.2f < 0.7", rate)
@@ -267,7 +267,7 @@ func TestTestingCheaperThanExact(t *testing.T) {
 	}
 	for _, tester := range []Tester{
 		SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1},
-		SimOblivious{Eps: eps, Delta: 0.1},
+		SimOblivious{Eps: eps},
 	} {
 		res, err := tester.RunOn(context.Background(), top)
 		if err != nil {
@@ -302,7 +302,7 @@ func TestSimultaneousIsOneRound(t *testing.T) {
 	for _, tester := range []Tester{
 		SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1},
 		SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1},
-		SimOblivious{Eps: eps, Delta: 0.1},
+		SimOblivious{Eps: eps},
 		ExactBaseline{},
 	} {
 		top := topFor(t, g, partition.Disjoint{}, 4, 2)
@@ -368,7 +368,7 @@ func TestEmptyGraph(t *testing.T) {
 	for _, tester := range []Tester{
 		Unrestricted{Eps: 0.3},
 		UnrestrictedBlackboard{Eps: 0.3},
-		SimOblivious{Eps: 0.3, Delta: 0.1},
+		SimOblivious{Eps: 0.3},
 		ExactBaseline{},
 	} {
 		res, err := tester.RunOn(ctx, top)

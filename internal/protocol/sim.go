@@ -9,7 +9,6 @@ import (
 	"tricomm/internal/blocks"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
-	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
@@ -169,14 +168,8 @@ func (s SimHigh) RunOn(ctx context.Context, top *comm.Topology) (Result, error) 
 	var res Result
 	stats, err := comm.RunSimultaneousOn(ctx, top,
 		func(pl *comm.SimPlayer) (comm.Msg, error) {
-			key := pl.Shared.Key("vsample/" + tag)
-			// Order-preserving parallel filter over pure point queries of
-			// the shared key: the kept set (and the cap truncation) is
-			// bit-identical to the serial append loop at any width.
 			done := simParRegion(pl)
-			out := parwork.Filter(pl.Workers, pl.Edges, func(_ int, e wire.Edge) bool {
-				return key.Bernoulli(uint64(e.U), p) && key.Bernoulli(uint64(e.V), p)
-			})
+			out := blocks.InducedEdgesN(pl.Edges, pl.Shared.Key("vsample/"+tag).Sample(p), pl.Workers)
 			done()
 			if len(out) > capPer {
 				out = out[:capPer]
@@ -260,10 +253,10 @@ func (s SimLow) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {
 	var res Result
 	stats, err := comm.RunSimultaneousOn(ctx, top,
 		func(pl *comm.SimPlayer) (comm.Msg, error) {
-			keyR := pl.Shared.Key("vsample/" + tag + "/R")
-			keyS := pl.Shared.Key("vsample/" + tag + "/S")
+			r := pl.Shared.Key("vsample/" + tag + "/R").Sample(p2)
 			done := simParRegion(pl)
-			out := blocks.CrossSampleEdgesN(pl.Edges, keyR, keyS, p2, p1, pl.Workers)
+			out := blocks.CrossEdges(blocks.TouchingEdgesN(pl.Edges, r, pl.Workers),
+				r, pl.Shared.Key("vsample/"+tag+"/S").Sample(p1))
 			done()
 			if len(out) > capPer {
 				out = out[:capPer]

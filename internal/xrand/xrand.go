@@ -20,16 +20,19 @@
 //
 // Point queries are O(1): Key.Rank gives each element a pseudo-random rank
 // inducing a uniform permutation, and Key.Bernoulli answers "is element x in
-// the p-sample?" without materializing the sample. Both are what the
-// protocols need — e.g. SampleUniformFromB̃ᵢ only compares ranks of vertices
-// each player locally knows. At p = 2^-j, bit b of the AND of j Hash words
-// under distinct keys is j fair coins, set with probability exactly 2^-j
-// independently across bits and elements (Knuth & Yao, 1976).
+// the p-sample?" without materializing the sample; Key.Sample fixes that
+// answer's integer threshold once for a scan that asks it many times.
+// Both are what the protocols need — e.g. SampleUniformFromB̃ᵢ only
+// compares ranks of vertices each player locally knows. At p = 2^-j, bit b
+// of the AND of j Hash words under distinct keys is j fair coins, set with
+// probability exactly 2^-j independently across bits and elements (Knuth &
+// Yao, 1976).
 package xrand
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"math/rand"
 )
 
@@ -131,6 +134,37 @@ func (k Key) Bernoulli(x uint64, p float64) bool {
 		return true
 	}
 	return k.Uniform01(x) < p
+}
+
+// Sample is the i.i.d. p-sample of a key with its integer threshold
+// computed once, for scans that query one sample many times: Has answers
+// Bernoulli(x, p) with one hash and one integer compare.
+type Sample struct {
+	key Key
+	t   uint64
+}
+
+// Sample returns the p-sample under the key: Sample(p).Has(x) equals
+// Bernoulli(x, p) for every x and p.
+func (k Key) Sample(p float64) Sample { return Sample{key: k, t: threshold(p)} }
+
+// Has reports whether element x is in the sample.
+func (s Sample) Has(x uint64) bool { return s.key.Hash(x)>>11 < s.t }
+
+// threshold is Bernoulli's comparison in integers. With m = Hash(x)>>11,
+// Uniform01(x) < p reads m < p·2⁵³, and for an integer m that holds
+// exactly when m < ⌈p·2⁵³⌉; the product is exact, a power-of-two scaling.
+// p ≤ 0 maps to 0 and p ≥ 1 to 2⁵³ (no element, every element). NaN,
+// which Bernoulli rejects for every x, maps to 0 explicitly, because Go
+// leaves uint64(NaN) implementation-defined.
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Reservoir maintains a uniform k-sample over a stream of elements using

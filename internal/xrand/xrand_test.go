@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -165,6 +166,101 @@ func TestBernoulliEdgeCases(t *testing.T) {
 	}
 	if !k.Bernoulli(7, 1.5) {
 		t.Fatal("Bernoulli(p>1) returned false")
+	}
+}
+
+// mulInverse returns a's inverse modulo 2⁶⁴ for odd a: Newton's step
+// doubles the correct low bits, and a·a ≡ 1 (mod 8) starts at three.
+func mulInverse(a uint64) uint64 {
+	inv := a
+	for i := 0; i < 5; i++ {
+		inv *= 2 - a*inv
+	}
+	return inv
+}
+
+// unshift inverts y = z ^ (z >> s).
+func unshift(y uint64, s uint) uint64 {
+	z := y
+	for i := s; i < 64; i += s {
+		z ^= y >> i
+	}
+	return z
+}
+
+// preimage returns the element x with k.Hash(x) == h. Hash is a bijection
+// (an affine map with an odd multiplier, then splitmix64's invertible
+// finalizer), so a test can place an element at any hash value.
+func preimage(k Key, h uint64) uint64 {
+	z := unshift(h, 31)
+	z = unshift(z*mulInverse(0x94d049bb133111eb), 27)
+	z = unshift(z*mulInverse(0xbf58476d1ce4e5b9), 30)
+	return (z-uint64(k))*mulInverse(0x9e3779b97f4a7c15) - 1
+}
+
+func TestSampleMatchesBernoulli(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		k, x := Key(rng.Uint64()), rng.Uint64()
+		p := rng.Float64()
+		if i%2 == 1 { // small p, down to 2^-60
+			p = math.Ldexp(p, -rng.Intn(60))
+		}
+		want := k.Bernoulli(x, p)
+		if got := k.Hash(x)>>11 < threshold(p); got != want {
+			t.Fatalf("key %#x x %d p %v: threshold says %v, Bernoulli %v", k, x, p, got, want)
+		}
+		if got := k.Sample(p).Has(x); got != want {
+			t.Fatalf("key %#x x %d p %v: Sample.Has %v, Bernoulli %v", k, x, p, got, want)
+		}
+	}
+}
+
+func TestThresholdBoundaries(t *testing.T) {
+	const all = uint64(1) << 53
+	cases := []struct {
+		name string
+		p    float64
+		t    uint64
+	}{
+		{"zero", 0, 0},
+		{"smallest positive", math.SmallestNonzeroFloat64, 1},
+		{"2^-53", math.Ldexp(1, -53), 1},
+		{"3/128", 3.0 / 128, 3 << 46},
+		{"1/2", 0.5, 1 << 52},
+		{"1-2^-53", 1 - math.Ldexp(1, -53), all - 1},
+		{"one", 1, all},
+		{"negative", -0.5, 0},
+		{"above one", 1.5, all},
+		{"NaN", math.NaN(), 0},
+		{"+Inf", math.Inf(1), all},
+		{"-Inf", math.Inf(-1), 0},
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range cases {
+		if got := threshold(c.p); got != c.t {
+			t.Fatalf("%s: threshold %d, want %d", c.name, got, c.t)
+		}
+		// Elements whose m = Hash(x)>>11 sits at either side of the
+		// threshold and at both ends of [0, 2^53).
+		for _, m := range []uint64{0, 1, c.t - 1, c.t, c.t + 1, all - 1} {
+			if m >= all {
+				continue
+			}
+			k := Key(rng.Uint64())
+			h := m<<11 | rng.Uint64()&(1<<11-1)
+			x := preimage(k, h)
+			if k.Hash(x) != h {
+				t.Fatalf("preimage: Hash(%d) = %#x, want %#x", x, k.Hash(x), h)
+			}
+			want := m < c.t
+			if got := k.Bernoulli(x, c.p); got != want {
+				t.Errorf("%s, m = %d: Bernoulli %v, want %v", c.name, m, got, want)
+			}
+			if got := k.Sample(c.p).Has(x); got != want {
+				t.Errorf("%s, m = %d: Sample.Has %v, want %v", c.name, m, got, want)
+			}
+		}
 	}
 }
 

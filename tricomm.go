@@ -419,7 +419,8 @@ type Options struct {
 	// AvgDegree, if positive, is the known average degree of the union
 	// graph (required by SimultaneousLow/High; optional for Interactive).
 	AvgDegree float64
-	// Delta is the error target for cap sizing (default 0.1).
+	// Delta is the error target that sizes the SimultaneousLow and
+	// SimultaneousHigh caps (default 0.1); no other protocol reads it.
 	Delta float64
 	// AssumeDisjoint declares that the players' inputs are pairwise
 	// disjoint (no edge duplication), letting the Interactive protocol use
@@ -519,7 +520,7 @@ func (o Options) runner() (runner, error) {
 	case SimultaneousHigh:
 		return protocol.SimHigh{Eps: o.Eps, AvgDegree: o.AvgDegree, Delta: o.Delta}, nil
 	case Auto, SimultaneousOblivious:
-		return protocol.SimOblivious{Eps: o.Eps, Delta: o.Delta}, nil
+		return protocol.SimOblivious{Eps: o.Eps}, nil
 	case Exact:
 		return protocol.ExactBaseline{}, nil
 	default:
