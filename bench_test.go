@@ -174,7 +174,7 @@ func BenchmarkTable1_Symmetrization(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(), Delta: 0.1,
+		res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(),
 			Tag: fmt.Sprintf("bench/%d", i)}.RunOn(context.Background(), top)
 		if err != nil {
 			b.Fatal(err)
@@ -205,7 +205,7 @@ func BenchmarkTable1_BHM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := protocol.SimLow{Eps: 0.2, AvgDegree: red.G.AvgDegree(), Delta: 0.1,
+		res, err := protocol.SimLow{Eps: 0.2, AvgDegree: red.G.AvgDegree(),
 			Tag: fmt.Sprintf("bhm/%d", i)}.RunOn(context.Background(), top)
 		if err != nil {
 			b.Fatal(err)

@@ -41,7 +41,6 @@ import (
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
 	"tricomm/internal/partition"
-	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
 	"tricomm/internal/stats"
 	"tricomm/internal/wire"
@@ -236,16 +235,6 @@ type namedBench struct {
 	fn   func(b *testing.B)
 }
 
-// foldBody is the parwork/fold benchmark's scan body, hoisted to package
-// level so the timed loop carries no closure construction.
-var foldBody = func(lo, hi int) int64 {
-	var s int64
-	for i := lo; i < hi; i++ {
-		s += int64(i & 7)
-	}
-	return s
-}
-
 // replyWidths are the WriteUint widths of the wire benchmarks' message: a
 // 3-bit header, then a 300-bit reply in 64-bit words.
 var replyWidths = []int{3, 64, 64, 64, 64, 44}
@@ -259,11 +248,11 @@ func writeReply(w *wire.Writer, seed uint64) {
 }
 
 // benchHandle measures one player answering req as request 2 of an
-// "unrestricted" run, width 1. The player holds all of a 2048-vertex
+// "unrestricted" run. The player holds all of a 2048-vertex
 // Erdős–Rényi graph of mean degree ~20 at k = 4.
 func benchHandle(b *testing.B, req comm.Msg) {
 	g := graph.ErdosRenyi(2048, 0.01, rand.New(rand.NewSource(4)))
-	p := &comm.Player{K: 4, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(1), Workers: 1}
+	p := &comm.Player{K: 4, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(1)}
 	run := p.Shared.Key("unrestricted")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -309,21 +298,25 @@ func splitBench(pt partition.Partitioner) func(b *testing.B) {
 	}
 }
 
-// denseSessionBench measures one full interactive session on a dense
-// ε-far instance at the given intra-phase worker width. The w1/w8 pair
-// is the single-session speedup the BENCH trajectory tracks: the reports
-// are bit-identical at every width, so any ns/op gap is pure wall-clock.
-func denseSessionBench(workers int) func(b *testing.B) {
+// farGraph returns a builder of the ε-far graph (ε = 0.2) of n vertices,
+// average degree d, drawn from seed.
+func farGraph(n int, d float64, seed int64) func() *tricomm.Graph {
+	return func() *tricomm.Graph {
+		g, _ := tricomm.FarGraph(n, d, 0.2, seed)
+		return g
+	}
+}
+
+// sessionBench measures one Session.Test call under opts, the session
+// reused over a cluster that splits mk() among k players, and reports the
+// bits each call sends.
+func sessionBench(mk func() *tricomm.Graph, k int, scheme tricomm.SplitScheme, seed uint64, opts tricomm.Options) func(b *testing.B) {
 	return func(b *testing.B) {
-		g, _ := tricomm.FarGraph(512, 16, 0.2, 9)
-		cluster, err := tricomm.Split(g, 8, tricomm.SplitDisjoint, 9)
+		cluster, err := tricomm.Split(mk(), k, scheme, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := cluster.Session(tricomm.Options{
-			Protocol: tricomm.Interactive, Eps: 0.2, AvgDegree: 16,
-			IntraWorkers: workers,
-		})
+		s, err := cluster.Session(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,23 +464,6 @@ func coreBenchmarks() []namedBench {
 			var sink int
 			for i := 0; i < b.N; i++ {
 				sink += bitset.IntersectCount(x, y)
-			}
-			_ = sink
-		}},
-		{"parwork/fold", func(b *testing.B) {
-			// The ordered-fold work-splitting engine at 8 workers over a
-			// 64k-element scan, mirroring internal/parwork BenchmarkFoldInt64.
-			// The body closure is hoisted so the timed loop exercises only
-			// the fold machinery, which must stay allocation-free. One warm-up
-			// call spawns the persistent helper goroutines and primes the job
-			// pool outside the timer, so short -benchtime runs don't smear
-			// that one-time cost across a handful of iterations.
-			parwork.FoldInt64(8, 1<<16, foldBody)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink int64
-			for i := 0; i < b.N; i++ {
-				sink += parwork.FoldInt64(8, 1<<16, foldBody)
 			}
 			_ = sink
 		}},
@@ -640,106 +616,20 @@ func coreBenchmarks() []namedBench {
 		{"scenario/sbm", scenarioBench("sbm")},
 		{"scenario/behrend-blowup", scenarioBench("behrend-blowup")},
 		{"scenario/dup-adversary", scenarioBench("dup-adversary")},
-		{"protocol/simlow-session", func(b *testing.B) {
-			g, _ := tricomm.FarGraph(4096, 8, 0.2, 3)
-			cluster, err := tricomm.Split(g, 8, tricomm.SplitDisjoint, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := cluster.Session(tricomm.Options{
-				Protocol: tricomm.SimultaneousLow, Eps: 0.2, AvgDegree: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			var bits int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, terr := s.Test(ctx)
-				if terr != nil {
-					b.Fatal(terr)
-				}
-				bits += rep.Bits
-			}
-			b.ReportMetric(float64(bits)/float64(b.N), "bits/op")
-		}},
-		{"protocol/simoblivious-session", func(b *testing.B) {
-			// perfbench's oneround bipartite shape: each player's local
-			// average is about 4, so it runs nine instances, five of them
-			// low-degree ones that share one R sample.
-			g := tricomm.BipartiteGraph(16384, 8, 7)
-			cluster, err := tricomm.Split(g, 8, tricomm.SplitDuplicate, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := cluster.Session(tricomm.Options{Protocol: tricomm.SimultaneousOblivious, Eps: 0.2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			var bits int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, terr := s.Test(ctx)
-				if terr != nil {
-					b.Fatal(terr)
-				}
-				bits += rep.Bits
-			}
-			b.ReportMetric(float64(bits)/float64(b.N), "bits/op")
-		}},
-		{"protocol/unrestricted", func(b *testing.B) {
-			g, _ := tricomm.FarGraph(512, 8, 0.2, 11)
-			cluster, err := tricomm.Split(g, 4, tricomm.SplitDisjoint, 11)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := cluster.Session(tricomm.Options{
-				Protocol: tricomm.Interactive, Eps: 0.2, AvgDegree: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			var bits int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, terr := s.Test(ctx)
-				if terr != nil {
-					b.Fatal(terr)
-				}
-				bits += rep.Bits
-			}
-			b.ReportMetric(float64(bits)/float64(b.N), "bits/op")
-		}},
-		{"protocol/unrestricted-dense-w1", denseSessionBench(1)},
-		{"protocol/unrestricted-dense-w8", denseSessionBench(8)},
-		{"protocol/exact-baseline", func(b *testing.B) {
-			g, _ := tricomm.FarGraph(1024, 8, 0.2, 17)
-			cluster, err := tricomm.Split(g, 4, tricomm.SplitDisjoint, 17)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := cluster.Session(tricomm.Options{Protocol: tricomm.Exact})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			var bits int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, terr := s.Test(ctx)
-				if terr != nil {
-					b.Fatal(terr)
-				}
-				bits += rep.Bits
-			}
-			b.ReportMetric(float64(bits)/float64(b.N), "bits/op")
-		}},
+		{"protocol/simlow-session", sessionBench(farGraph(4096, 8, 3), 8, tricomm.SplitDisjoint, 5,
+			tricomm.Options{Protocol: tricomm.SimultaneousLow, Eps: 0.2, AvgDegree: 8})},
+		// perfbench's oneround bipartite shape: each player's local average
+		// is about 4, so it runs nine instances, five of them low-degree
+		// ones that share one R sample.
+		{"protocol/simoblivious-session", sessionBench(func() *tricomm.Graph { return tricomm.BipartiteGraph(16384, 8, 7) },
+			8, tricomm.SplitDuplicate, 7, tricomm.Options{Protocol: tricomm.SimultaneousOblivious, Eps: 0.2})},
+		{"protocol/unrestricted", sessionBench(farGraph(512, 8, 11), 4, tricomm.SplitDisjoint, 11,
+			tricomm.Options{Protocol: tricomm.Interactive, Eps: 0.2, AvgDegree: 8})},
+		// A dense interactive session at k = 8; the -w1 suffix is the name
+		// the ledger has always tracked it under.
+		{"protocol/unrestricted-dense-w1", sessionBench(farGraph(512, 16, 9), 8, tricomm.SplitDisjoint, 9,
+			tricomm.Options{Protocol: tricomm.Interactive, Eps: 0.2, AvgDegree: 16})},
+		{"protocol/exact-baseline", sessionBench(farGraph(1024, 8, 17), 4, tricomm.SplitDisjoint, 17,
+			tricomm.Options{Protocol: tricomm.Exact})},
 	}
 }

@@ -37,7 +37,6 @@ import (
 
 	"tricomm"
 	"tricomm/internal/harness/runner"
-	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
 	"tricomm/internal/service"
 	"tricomm/internal/transport"
@@ -74,10 +73,10 @@ func run() (int, error) {
 		trials   = flag.Int("trials", 1, "trials (server mode)")
 		server   = flag.String("server", "", "audit a running tricommd at this base URL instead of running locally")
 		faults   = flag.String("faults", "", "deterministic fault injection: off | lossy | chaos | JSON fault spec")
-		intraW   = flag.Int("intra-workers", 0, "goroutines for the session's per-player hot loops and the ground-truth triangle search (<= 0: $TRICOMM_INTRA_WORKERS, then 1); reports are identical at any value")
+		intraW   = flag.Int("intra-workers", 0, "goroutines for the one-round referee's and the ground-truth triangle search, at most 64 (<= 0: $TRICOMM_INTRA_WORKERS, then 1); reports are identical at any value")
 	)
 	flag.Parse()
-	intraWorkers = parwork.Workers(*intraW)
+	intraWorkers = *intraW
 
 	if *listScen {
 		fmt.Print(tricomm.ScenarioUsage())
@@ -125,8 +124,8 @@ func resolveSpec(scen, kind string, n int, d, eps float64) (scenario.Spec, error
 	return scenario.Canonical(sp)
 }
 
-// intraWorkers is the resolved -intra-workers value: goroutines for the
-// ground-truth triangle search (deterministic at any width).
+// intraWorkers is the -intra-workers value: the triangle-search width
+// (deterministic at any width).
 var intraWorkers = 1
 
 // audit compares one verdict against the instance's ground truth. It

@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"tricomm/internal/comm"
 	"tricomm/internal/wire"
@@ -136,19 +135,6 @@ func Handle(p *comm.Player, run xrand.Key, r uint64, req comm.Msg) (comm.Msg, er
 		return comm.Msg{}, fmt.Errorf("%w: %d bits after opcode %d's last field", ErrBadRequest, rd.Remaining(), op)
 	}
 	return reply, err
-}
-
-// parRegion times an intra-phase parallel region for the observability
-// meter: call it before the region and invoke the returned func after. At
-// width 1 nothing fans out and nothing is recorded, so the serial path
-// carries no clock reads. Timing feeds metrics only — never Stats — so
-// it cannot perturb the deterministic artifact.
-func parRegion(p *comm.Player) func() {
-	if p.Workers <= 1 {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { p.ObserveParallel(time.Since(t0)) }
 }
 
 // reqWriter starts a request message with the given opcode.

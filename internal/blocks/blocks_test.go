@@ -268,9 +268,9 @@ func TestApproxDistinctEdges(t *testing.T) {
 	}
 }
 
-// TestCrossSampleEdgesFilter pins the two-step draw, TouchingEdgesN then
+// TestCrossSampleEdgesFilter pins the two-step draw, TouchingEdges then
 // CrossEdges, against one filter over all edges with Bernoulli point
-// queries, at every width and for samples from empty to full.
+// queries, for samples from empty to full.
 func TestCrossSampleEdgesFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	edges := graph.ErdosRenyi(400, 0.05, rng).Edges()
@@ -291,12 +291,10 @@ func TestCrossSampleEdgesFilter(t *testing.T) {
 			case pR == 1 && len(want) != len(edges):
 				t.Fatalf("pR=1 should keep all edges, kept %d of %d", len(want), len(edges))
 			}
-			for _, w := range []int{1, 4, 8} {
-				r := keyR.Sample(pR)
-				got := CrossEdges(TouchingEdgesN(edges, r, w), r, keyS.Sample(pS))
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("pR=%v pS=%v w=%d: two steps keep %d edges, one filter %d", pR, pS, w, len(got), len(want))
-				}
+			r := keyR.Sample(pR)
+			got := CrossEdges(TouchingEdges(edges, r), r, keyS.Sample(pS))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pR=%v pS=%v: two steps keep %d edges, one filter %d", pR, pS, len(got), len(want))
 			}
 		}
 	}

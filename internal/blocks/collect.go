@@ -9,29 +9,29 @@ import (
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
-	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
 
-// TouchingEdgesN returns, in input order, the edges with an endpoint in
+// TouchingEdges returns, in input order, the edges with an endpoint in
 // r: the first of two steps that draw the low-degree simultaneous
 // tester's edge set (Algorithm 8), CrossEdges being the second. Every edge
 // of that set touches R, so a player whose instances share R draws this
-// list once. It fans across up to workers goroutines; membership is a
-// pure point query, so the list is bit-identical to the serial loop at
-// any width.
-func TouchingEdgesN(edges []wire.Edge, r xrand.Sample, workers int) []wire.Edge {
-	return parwork.Filter(workers, edges, func(_ int, e wire.Edge) bool {
-		return r.Has(uint64(e.U)) || r.Has(uint64(e.V))
-	})
+// list once.
+func TouchingEdges(edges []wire.Edge, r xrand.Sample) []wire.Edge {
+	var out []wire.Edge
+	for _, e := range edges {
+		if r.Has(uint64(e.U)) || r.Has(uint64(e.V)) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // CrossEdges returns, in input order, the edges of touching with one
 // endpoint in r and the other in r ∪ s:
-// (u∈R ∧ v∈R) ∨ (u∈R ∧ v∈S) ∨ (v∈R ∧ u∈S). On TouchingEdgesN's list it
+// (u∈R ∧ v∈R) ∨ (u∈R ∧ v∈S) ∨ (v∈R ∧ u∈S). On TouchingEdges's list it
 // keeps the edges, in the order, that one filter over all edges keeps.
-// That list is about 2C/√n of a player's edges, so the scan is serial.
 func CrossEdges(touching []wire.Edge, r, s xrand.Sample) []wire.Edge {
 	var out []wire.Edge
 	for _, e := range touching {
@@ -43,13 +43,16 @@ func CrossEdges(touching []wire.Edge, r, s xrand.Sample) []wire.Edge {
 	return out
 }
 
-// InducedEdgesN returns, in input order, the edges with both endpoints in
+// InducedEdges returns, in input order, the edges with both endpoints in
 // s: the edge set of the high-degree simultaneous tester (Algorithm 7).
-// It fans across up to workers goroutines, bit-identical at any width.
-func InducedEdgesN(edges []wire.Edge, s xrand.Sample, workers int) []wire.Edge {
-	return parwork.Filter(workers, edges, func(_ int, e wire.Edge) bool {
-		return s.Has(uint64(e.U)) && s.Has(uint64(e.V))
-	})
+func InducedEdges(edges []wire.Edge, s xrand.Sample) []wire.Edge {
+	var out []wire.Edge
+	for _, e := range edges {
+		if s.Has(uint64(e.U)) && s.Has(uint64(e.V)) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // CollectIncidentSample gathers the sampled star around v: every player
@@ -101,16 +104,10 @@ func handleCollectIncidentSample(p *comm.Player, key xrand.Key, r *wire.Reader) 
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	done := parRegion(p)
-	kept := parwork.Filter(p.Workers, p.View.Neighbors(v), func(_ int, u int32) bool {
-		return key.Bernoulli(uint64(u), prob)
-	})
-	done()
 	var arms []int
-	if len(kept) > 0 {
-		arms = make([]int, len(kept))
-		for i, u := range kept {
-			arms[i] = int(u)
+	for _, u := range p.View.Neighbors(v) {
+		if key.Bernoulli(uint64(u), prob) {
+			arms = append(arms, int(u))
 		}
 	}
 	if cap64 > 0 && uint64(len(arms)) > cap64 {
@@ -175,14 +172,7 @@ func handleCloseVees(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	var w wire.Writer
-	// Same first-hit contract as the former nested HasEdge loop;
-	// FirstArmPairN fans the outer scan across the player's workers with
-	// the serial-first-hit reduction, so the witness pair is identical at
-	// any width.
-	done := parRegion(p)
-	u1, u2, ok := p.View.FirstArmPairN(arms, p.Workers)
-	done()
-	if ok {
+	if u1, u2, ok := p.View.FirstArmPair(arms); ok {
 		w.WriteBool(true)
 		if err := vc.Put(&w, u1); err != nil {
 			return comm.Msg{}, err

@@ -17,7 +17,7 @@ import (
 // to Handle, outside any session.
 func handlePlayer() *comm.Player {
 	g := graph.FromEdges(8, []wire.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 5, V: 6}})
-	return &comm.Player{ID: 0, K: 2, N: 8, Edges: g.Edges(), View: g, Shared: xrand.New(3), Workers: 1}
+	return &comm.Player{ID: 0, K: 2, N: 8, Edges: g.Edges(), View: g, Shared: xrand.New(3)}
 }
 
 // handle feeds one request to Handle as request 0 of a testRun run.
@@ -137,8 +137,7 @@ func TestHandleRejectsHostileFields(t *testing.T) {
 // Shared.Key(<run tag>).Child(r).Child(x) for request index r and list
 // position x, experiment i = 64w+b of vertex x sets its bit when some
 // local element e has bit 63−b set in every word base.Child(64w+t).Hash(e),
-// t < j. The oracle evaluates that one bit at a time. Width 8 checks that
-// the worker count does not matter.
+// t < j. The oracle evaluates that one bit at a time.
 func TestSampleTestKeys(t *testing.T) {
 	cases := []struct {
 		tag    string
@@ -158,42 +157,39 @@ func TestSampleTestKeys(t *testing.T) {
 		{"unrestricted", modeDegree, 5, 130, []uint64{2, 0, 2, 3, 7}, []uint64{1, 0, 1, 2, 3}},
 		{"e9", modeDegree, 9, 64, []uint64{1, 2, 3}, []uint64{2, 2, 2}},
 	}
-	for _, workers := range []int{1, 8} {
-		p := handlePlayer()
-		p.Workers = workers
-		for _, tc := range cases {
-			fields := []func(*wire.Writer){uv(uint64(tc.mode)), uv(tc.m), count(uint64(len(tc.vs)))}
-			for x, v := range tc.vs {
-				fields = append(fields, uv(v), exponent(tc.js[x]))
-			}
-			reply, err := Handle(p, p.Shared.Key(tc.tag), tc.r, comm.FromWriter(request(opSampleTest, fields...)))
-			if err != nil {
-				t.Fatalf("workers %d, tag %q: %v", workers, tc.tag, err)
-			}
-			if got, want := reply.Bits(), len(tc.vs)*int(tc.m); got != want {
-				t.Fatalf("workers %d, tag %q: reply has %d bits, want %d", workers, tc.tag, got, want)
-			}
-			r := reply.Reader()
-			for x, v := range tc.vs {
-				elems := localElements(p, tc.mode, int(v))
-				base := p.Shared.Key(tc.tag).Child(tc.r).Child(uint64(x))
-				for i := uint64(0); i < tc.m; i++ {
-					w, b := i/64, i%64
-					want := false
-					for _, e := range elems {
-						all := true
-						for t := uint64(0); t < tc.js[x]; t++ {
-							all = all && base.Child(64*w+t).Hash(e)>>(63-b)&1 == 1
-						}
-						want = want || all
+	p := handlePlayer()
+	for _, tc := range cases {
+		fields := []func(*wire.Writer){uv(uint64(tc.mode)), uv(tc.m), count(uint64(len(tc.vs)))}
+		for x, v := range tc.vs {
+			fields = append(fields, uv(v), exponent(tc.js[x]))
+		}
+		reply, err := Handle(p, p.Shared.Key(tc.tag), tc.r, comm.FromWriter(request(opSampleTest, fields...)))
+		if err != nil {
+			t.Fatalf("tag %q: %v", tc.tag, err)
+		}
+		if got, want := reply.Bits(), len(tc.vs)*int(tc.m); got != want {
+			t.Fatalf("tag %q: reply has %d bits, want %d", tc.tag, got, want)
+		}
+		r := reply.Reader()
+		for x, v := range tc.vs {
+			elems := localElements(p, tc.mode, int(v))
+			base := p.Shared.Key(tc.tag).Child(tc.r).Child(uint64(x))
+			for i := uint64(0); i < tc.m; i++ {
+				w, b := i/64, i%64
+				want := false
+				for _, e := range elems {
+					all := true
+					for t := uint64(0); t < tc.js[x]; t++ {
+						all = all && base.Child(64*w+t).Hash(e)>>(63-b)&1 == 1
 					}
-					got, err := r.ReadBool()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("workers %d, tag %q, vertex %d, experiment %d: bit %v, want %v", workers, tc.tag, x, i, got, want)
-					}
+					want = want || all
+				}
+				got, err := r.ReadBool()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("tag %q, vertex %d, experiment %d: bit %v, want %v", tc.tag, x, i, got, want)
 				}
 			}
 		}
@@ -214,7 +210,7 @@ func TestSampleTestRate(t *testing.T) {
 			star[i] = wire.Edge{U: 0, V: i + 1}
 		}
 		g := graph.FromEdges(d+1, star)
-		p := &comm.Player{K: 1, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(5), Workers: 1}
+		p := &comm.Player{K: 1, N: g.N(), Edges: g.Edges(), View: g, Shared: xrand.New(5)}
 		run := p.Shared.Key("rate")
 		for _, j := range []int{0, 1, 3, 6, 10} {
 			var set, pairs int

@@ -49,11 +49,6 @@ func (b *Board) Round() { b.meter.AddRound() }
 // BeginPhase attributes subsequent posts to the named phase.
 func (b *Board) BeginPhase(name string) { b.meter.BeginPhase(name) }
 
-// ObserveParallel attributes d of wall clock to intra-phase parallel
-// regions of the board's active phase (observability only — never part
-// of Stats).
-func (b *Board) ObserveParallel(d time.Duration) { b.meter.ObserveParallel(d) }
-
 // Stats snapshots the communication cost so far.
 func (b *Board) Stats() Stats { return b.meter.Snapshot() }
 

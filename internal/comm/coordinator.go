@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tricomm/internal/graph"
-	"tricomm/internal/parwork"
 	"tricomm/internal/transport"
 	"tricomm/internal/xrand"
 )
@@ -30,19 +29,9 @@ type Player struct {
 	View *graph.Graph
 	// Shared is the public randomness (identical on all parties).
 	Shared *xrand.Shared
-	// Workers is the resolved intra-phase worker count: hot local loops
-	// may fan across up to this many goroutines (via parwork). Always ≥ 1;
-	// results and bit accounting are identical at every value.
-	Workers int
 
-	conn  transport.Conn
-	meter *Meter
+	conn transport.Conn
 }
-
-// ObserveParallel attributes d of wall clock to the session's intra-phase
-// parallel regions (observability only — never part of Stats). Safe on a
-// Player with no attached meter.
-func (p *Player) ObserveParallel(d time.Duration) { p.meter.ObserveParallel(d) }
 
 // Recv blocks for the next coordinator message. It returns ErrShutdown if
 // the coordinator has finished, or the context error if ctx is canceled.
@@ -97,9 +86,6 @@ type Coordinator struct {
 	N int
 	// Shared is the public randomness.
 	Shared *xrand.Shared
-	// Workers is the resolved intra-phase worker count for coordinator-side
-	// local compute (same contract as Player.Workers).
-	Workers int
 
 	links []transport.Conn
 	pdone []<-chan struct{} // closed when the player goroutine exits
@@ -243,8 +229,6 @@ func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player Pla
 	dial := top.Transport()
 	k := top.K()
 	meter := NewMeter(k)
-	workers := parwork.Workers(top.intra)
-	mIntraWorkers.Set(float64(workers))
 
 	links, err := dial.Dial(k)
 	if err != nil {
@@ -266,13 +250,12 @@ func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player Pla
 
 	pdone := make([]chan struct{}, k)
 	c := &Coordinator{
-		K:       k,
-		N:       top.N(),
-		Shared:  top.Shared(),
-		Workers: workers,
-		links:   make([]transport.Conn, k),
-		pdone:   make([]<-chan struct{}, k),
-		meter:   meter,
+		K:      k,
+		N:      top.N(),
+		Shared: top.Shared(),
+		links:  make([]transport.Conn, k),
+		pdone:  make([]<-chan struct{}, k),
+		meter:  meter,
 	}
 	for j := 0; j < k; j++ {
 		c.links[j] = links[j].A
@@ -286,15 +269,13 @@ func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player Pla
 	var wg sync.WaitGroup
 	for j := 0; j < k; j++ {
 		p := &Player{
-			ID:      j,
-			K:       k,
-			N:       top.N(),
-			Edges:   top.Input(j),
-			View:    top.View(j),
-			Shared:  top.Shared(),
-			Workers: workers,
-			conn:    links[j].B,
-			meter:   meter,
+			ID:     j,
+			K:      k,
+			N:      top.N(),
+			Edges:  top.Input(j),
+			View:   top.View(j),
+			Shared: top.Shared(),
+			conn:   links[j].B,
 		}
 		wg.Add(1)
 		go func() {

@@ -9,8 +9,7 @@ import (
 // Meter accumulates the communication cost of a protocol run on per-player
 // atomic counters. Every Add call and every Snapshot runs on the session's
 // scheduling goroutine (the coordinator's, in RunOn), so snapshots are
-// exact; ObserveParallel may run on any goroutine, and the atomics keep it
-// race-free. The meter also supports named-phase attribution (BeginPhase)
+// exact. The meter also supports named-phase attribution (BeginPhase)
 // and a dedicated counter for blackboard posts made by the coordinator.
 // The zero value is unusable — use NewMeter.
 type Meter struct {
@@ -24,14 +23,12 @@ type Meter struct {
 	phases     []*phaseCounter
 	phaseStart time.Time // guarded by phaseMu; when the active phase began
 	cur        atomic.Pointer[phaseCounter]
-	parNanos   atomic.Int64 // parallel-region wall clock outside any phase
 }
 
 type phaseCounter struct {
-	name     string
-	bits     atomic.Int64
-	nanos    int64        // guarded by Meter.phaseMu; wall clock spent in the phase
-	parNanos atomic.Int64 // wall clock inside parallel regions of the phase
+	name  string
+	bits  atomic.Int64
+	nanos int64 // guarded by Meter.phaseMu; wall clock spent in the phase
 }
 
 // NewMeter returns a meter for k players.
@@ -70,21 +67,6 @@ func (m *Meter) AddCoordinator(bits int) {
 // AddRound counts one protocol round.
 func (m *Meter) AddRound() { m.rounds.Add(1) }
 
-// ObserveParallel attributes d of wall clock to intra-phase parallel
-// regions of the active phase (or to the run's unphased bucket when no
-// phase is active). Timing is observability-only — it feeds the metrics
-// layer, never Stats, so it cannot perturb the deterministic artifact.
-func (m *Meter) ObserveParallel(d time.Duration) {
-	if m == nil {
-		return
-	}
-	if p := m.cur.Load(); p != nil {
-		p.parNanos.Add(d.Nanoseconds())
-		return
-	}
-	m.parNanos.Add(d.Nanoseconds())
-}
-
 // BeginPhase attributes all subsequent traffic to the named phase until
 // the next BeginPhase. Re-entering a name resumes its counter. Call it
 // from the scheduling goroutine at quiescent points (between rounds).
@@ -118,32 +100,23 @@ func (m *Meter) closePhaseLocked(now time.Time) {
 // protocol (tests compare snapshots across schedules and transports), and
 // wall clock is not. The metrics layer is its only consumer.
 type phaseTiming struct {
-	name       string
-	seconds    float64
-	parSeconds float64 // wall clock inside intra-phase parallel regions
+	name    string
+	seconds float64
 }
 
 // takePhaseTimings closes out the active phase and returns every declared
-// phase's wall-clock total, in declaration order; parallel-region time
-// observed outside any phase lands on a trailing "unphased" entry. Called
-// once at session end from the scheduling goroutine.
+// phase's wall-clock total, in declaration order. Called once at session
+// end from the scheduling goroutine.
 func (m *Meter) takePhaseTimings() []phaseTiming {
 	m.phaseMu.Lock()
 	defer m.phaseMu.Unlock()
 	m.closePhaseLocked(time.Now())
-	out := make([]phaseTiming, 0, len(m.phases)+1)
-	for _, p := range m.phases {
-		out = append(out, phaseTiming{
-			name:       p.name,
-			seconds:    float64(p.nanos) / 1e9,
-			parSeconds: float64(p.parNanos.Load()) / 1e9,
-		})
-	}
-	if root := m.parNanos.Load(); root > 0 {
-		out = append(out, phaseTiming{name: "unphased", parSeconds: float64(root) / 1e9})
-	}
-	if len(out) == 0 {
+	if len(m.phases) == 0 {
 		return nil
+	}
+	out := make([]phaseTiming, len(m.phases))
+	for i, p := range m.phases {
+		out[i] = phaseTiming{name: p.name, seconds: float64(p.nanos) / 1e9}
 	}
 	return out
 }

@@ -33,9 +33,7 @@ var (
 	mSessionSeconds = obs.NewHistogram("tricomm_engine_session_seconds",
 		"Wall-clock duration of one protocol session.", obs.DurationBuckets())
 	mIntraWorkers = obs.NewGauge("tricomm_engine_intra_workers",
-		"Resolved intra-phase worker count of the most recently started session.")
-	mPhaseParSeconds = obs.NewCounterVec("tricomm_engine_phase_parallel_seconds_total",
-		"Wall-clock seconds spent inside intra-phase parallel regions, by phase.", "phase")
+		"Resolved referee triangle-search width of the most recently started simultaneous session.")
 )
 
 // observeSession folds one finished session into the engine metrics and,
@@ -56,9 +54,6 @@ func observeSession(model string, start time.Time, stats Stats, timings []phaseT
 	for _, t := range timings {
 		if t.seconds > 0 {
 			mPhaseSeconds.With(t.name).Add(t.seconds)
-		}
-		if t.parSeconds > 0 {
-			mPhaseParSeconds.With(t.name).Add(t.parSeconds)
 		}
 	}
 	mSessionSeconds.Observe(time.Since(start).Seconds())

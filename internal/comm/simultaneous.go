@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tricomm/internal/graph"
-	"tricomm/internal/parwork"
 	"tricomm/internal/xrand"
 )
 
@@ -24,24 +23,14 @@ type SimPlayer struct {
 	Edges []graph.Edge
 	// Shared is the public randomness.
 	Shared *xrand.Shared
-	// Workers is the resolved intra-phase worker count: hot local loops
-	// may fan across up to this many goroutines (via parwork). Always ≥ 1;
-	// results and bit accounting are identical at every value.
-	Workers int
 
-	top   *Topology
-	meter *Meter
+	top *Topology
 }
 
 // View returns the player's local graph (V, E_j) from the topology's view
 // cache, building it on the calling goroutine at the first read. A player
 // that never calls View costs no graph build.
 func (p *SimPlayer) View() *graph.Graph { return p.top.View(p.ID) }
-
-// ObserveParallel attributes d of wall clock to the session's intra-phase
-// parallel regions (observability only — never part of Stats). Safe on a
-// SimPlayer with no attached meter (e.g. BoardPlayersOn views).
-func (p *SimPlayer) ObserveParallel(d time.Duration) { p.meter.ObserveParallel(d) }
 
 // SimPlayerFunc computes a player's single message from its input.
 type SimPlayerFunc func(p *SimPlayer) (Msg, error)
@@ -53,17 +42,15 @@ type RefereeFunc func(shared *xrand.Shared, msgs []Msg) error
 // simPlayers returns the ordered players over top. It builds no local
 // graph: each player's View reads the topology's cache on demand.
 func simPlayers(top *Topology) []*SimPlayer {
-	workers := parwork.Workers(top.intra)
 	players := make([]*SimPlayer, top.K())
 	for j := range players {
 		players[j] = &SimPlayer{
-			ID:      j,
-			K:       top.K(),
-			N:       top.N(),
-			Edges:   top.Input(j),
-			Shared:  top.Shared(),
-			Workers: workers,
-			top:     top,
+			ID:     j,
+			K:      top.K(),
+			N:      top.N(),
+			Edges:  top.Input(j),
+			Shared: top.Shared(),
+			top:    top,
 		}
 	}
 	return players
@@ -91,13 +78,9 @@ func RunSimultaneousOn(ctx context.Context, top *Topology, player SimPlayerFunc,
 	msgs := make([]Msg, k)
 	errs := make([]error, k)
 
-	players := simPlayers(top)
-	if len(players) > 0 {
-		mIntraWorkers.Set(float64(players[0].Workers))
-	}
+	mIntraWorkers.Set(float64(top.IntraWorkers()))
 	var wg sync.WaitGroup
-	for _, p := range players {
-		p.meter = meter
+	for _, p := range simPlayers(top) {
 		wg.Add(1)
 		go func(p *SimPlayer) {
 			defer wg.Done()

@@ -31,7 +31,7 @@ type Topology struct {
 	shared *xrand.Shared
 	cache  *viewCache
 	dial   transport.Dialer // nil means the in-process channel transport
-	intra  int              // requested intra-phase workers; ≤0 defers to env
+	intra  int              // requested triangle-search width; ≤0 defers to env
 }
 
 // NewTopology validates the instance — n ≥ 0, at least one player, and
@@ -106,15 +106,16 @@ func (t *Topology) WithTransport(d transport.Dialer) *Topology {
 	return &Topology{n: t.n, inputs: t.inputs, shared: t.shared, cache: t.cache, dial: d, intra: t.intra}
 }
 
-// WithIntraWorkers returns a topology whose sessions fan per-player hot
-// loops across up to n goroutines (resolved through parwork.Workers at
-// session start, so n ≤ 0 defers to TRICOMM_INTRA_WORKERS). Results and
-// bit accounting are identical at every width — the knob trades only
-// wall clock.
+// WithIntraWorkers returns a topology whose one-round referees search
+// the union of the players' messages for a triangle on up to n
+// goroutines (n ≤ 0 defers to TRICOMM_INTRA_WORKERS; see graph.Workers).
+// The players themselves compute serially, each on its own goroutine.
+// The witness is the serial search's at every width, so results and bit
+// accounting are identical; the knob trades only wall clock.
 func (t *Topology) WithIntraWorkers(n int) *Topology {
 	return &Topology{n: t.n, inputs: t.inputs, shared: t.shared, cache: t.cache, dial: t.dial, intra: n}
 }
 
-// IntraWorkers reports the raw intra-phase worker request (≤0 means
-// "resolve from the environment at session start").
-func (t *Topology) IntraWorkers() int { return t.intra }
+// IntraWorkers reports the resolved triangle-search width of the
+// topology's referees.
+func (t *Topology) IntraWorkers() int { return graph.Workers(t.intra) }

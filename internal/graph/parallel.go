@@ -1,19 +1,52 @@
 package graph
 
 import (
+	"log/slog"
+	"os"
+	"strconv"
+	"sync"
 	"sync/atomic"
-
-	"tricomm/internal/parwork"
 )
 
-// This file provides intra-trial parallelism: row-range-partitioned
-// variants of the triangle kernels that are bit-identical to the serial
-// ones at any worker count. The contract mirrors the PR 2 harness runner
-// — work is split into deterministic chunks, workers claim chunks from an
-// atomic cursor, and the reduction folds partials in chunk (row) order.
-// The fan-out itself now rides on internal/parwork (the shared
-// intra-phase work-splitting layer); this file keeps the graph-specific
-// arc-balanced partition and the kernel reductions.
+// This file holds the parallel triangle searches: row-range-partitioned
+// variants of CountTriangles and FindTriangle that return the serial
+// answers at any width. Work is split into deterministic chunks,
+// goroutines started for the call claim chunks from an atomic cursor,
+// and the reduction reads the per-chunk results in chunk (row) order.
+
+// workersEnv is the environment variable consulted when a caller passes
+// a non-positive width.
+const workersEnv = "TRICOMM_INTRA_WORKERS"
+
+// maxWorkers caps the search width, so the chunk table and the
+// goroutines a search starts are bounded by a constant, not by the
+// request.
+const maxWorkers = 64
+
+// envWarned makes the invalid-env warning fire once per process (it is a
+// plain flag, not a sync.Once, so tests can reset it).
+var envWarned atomic.Bool
+
+// Workers resolves a triangle-search width request: an explicit n > 0
+// wins; otherwise TRICOMM_INTRA_WORKERS; otherwise 1; and the result is
+// at most 64. The default is deliberately serial: the players of a
+// session and the trial pool already own the cores. An unparseable or
+// non-positive environment value falls back to 1 with a one-time slog
+// warning instead of being silently ignored.
+func Workers(n int) int {
+	if n <= 0 {
+		n = 1
+		if s := os.Getenv(workersEnv); s != "" {
+			if v, err := strconv.Atoi(s); err == nil && v > 0 {
+				n = v
+			} else if envWarned.CompareAndSwap(false, true) {
+				slog.Warn("invalid intra-worker count in environment; using 1",
+					"var", workersEnv, "value", s)
+			}
+		}
+	}
+	return min(n, maxWorkers)
+}
 
 // rowChunks partitions the vertex range [0, n) into at most parts
 // contiguous row ranges balanced by arc count (row cost in every kernel
@@ -43,18 +76,43 @@ func (g *Graph) rowChunks(parts int) [][2]int {
 	return chunks
 }
 
+// runChunks calls do(i) once for each i in [0, chunks) on up to workers
+// goroutines, the caller among them, which claim chunk indexes from one
+// atomic cursor. It starts its goroutines for this call and returns only
+// after all of them are done, so none outlives the search. Which
+// goroutine runs a chunk depends on scheduling, so do must write only
+// chunk-indexed state.
+func runChunks(workers, chunks int, do func(chunk int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < chunks; i = int(next.Add(1)) - 1 {
+			do(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, chunks); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // CountTrianglesN counts triangles with up to workers goroutines. The
 // result is bit-identical to CountTriangles at any worker count: each
 // triangle is attributed to its smallest vertex's chunk, partial counts
 // are exact int64s, and the reduction folds them in chunk order.
 func (g *Graph) CountTrianglesN(workers int) int64 {
-	workers = parwork.Workers(workers)
+	workers = Workers(workers)
 	if workers <= 1 || g.n == 0 {
 		return g.CountTriangles()
 	}
 	chunks := g.rowChunks(4 * workers)
 	partial := make([]int64, len(chunks))
-	parwork.Run(workers, len(chunks), func(i int) {
+	runChunks(workers, len(chunks), func(i int) {
 		partial[i] = g.countTrianglesRange(chunks[i][0], chunks[i][1])
 	})
 	var total int64
@@ -72,7 +130,7 @@ func (g *Graph) CountTrianglesN(workers int) int64 {
 // the final answer is the lowest-index chunk's hit, which is exactly the
 // serial scan's first hit.
 func (g *Graph) FindTriangleN(workers int) (Triangle, bool) {
-	workers = parwork.Workers(workers)
+	workers = Workers(workers)
 	if workers <= 1 || g.n == 0 {
 		return g.FindTriangle()
 	}
@@ -81,7 +139,7 @@ func (g *Graph) FindTriangleN(workers int) (Triangle, bool) {
 	hit := make([]bool, len(chunks))
 	var best atomic.Int64
 	best.Store(int64(len(chunks)))
-	parwork.Run(workers, len(chunks), func(i int) {
+	runChunks(workers, len(chunks), func(i int) {
 		if int64(i) > best.Load() {
 			return // a lower chunk already has a witness
 		}
@@ -103,42 +161,6 @@ func (g *Graph) FindTriangleN(workers int) (Triangle, bool) {
 		}
 	}
 	return Triangle{}, false
-}
-
-// firstArmPairSerialBelow keeps FirstArmPairN serial for small stars,
-// where a fan-out costs more than the scan.
-const firstArmPairSerialBelow = 32
-
-// FirstArmPairN finds the first adjacent pair among arms — the pair the
-// serial double loop `for i { FirstAdjacent(arms[i], arms[i+1:]) }`
-// returns: lowest outer index i first, then that row's FirstAdjacent
-// order. The outer scan fans across up to workers goroutines with the
-// serial-first-hit reduction, so the witness pair is identical at any
-// worker count.
-func (g *Graph) FirstArmPairN(arms []int, workers int) (u1, u2 int, ok bool) {
-	items := len(arms) - 1
-	if items <= 0 {
-		return 0, 0, false
-	}
-	probe := func(lo, hi int) (int64, bool) {
-		for i := lo; i < hi; i++ {
-			if j := g.FirstAdjacent(arms[i], arms[i+1:]); j >= 0 {
-				return int64(i)<<32 | int64(i+1+j), true
-			}
-		}
-		return 0, false
-	}
-	if workers <= 1 || items < firstArmPairSerialBelow {
-		if v, hit := probe(0, items); hit {
-			return arms[v>>32], arms[v&0xffffffff], true
-		}
-		return 0, 0, false
-	}
-	v, hit := parwork.First(workers, items, probe)
-	if !hit {
-		return 0, 0, false
-	}
-	return arms[v>>32], arms[v&0xffffffff], true
 }
 
 // findTriangleRange is FindTriangle's scan restricted to edges whose

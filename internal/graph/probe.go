@@ -98,3 +98,15 @@ func (g *Graph) FirstAdjacent(u int, cands []int) int {
 	}
 	return -1
 }
+
+// FirstArmPair finds the first adjacent pair among arms: the lowest
+// index i with an arm after it adjacent to arms[i], and the first such
+// arm in FirstAdjacent's order.
+func (g *Graph) FirstArmPair(arms []int) (u1, u2 int, ok bool) {
+	for i := range arms {
+		if j := g.FirstAdjacent(arms[i], arms[i+1:]); j >= 0 {
+			return arms[i], arms[i+1+j], true
+		}
+	}
+	return 0, 0, false
+}

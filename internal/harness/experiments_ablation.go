@@ -70,7 +70,7 @@ func e12Behrend() Experiment {
 					Testers: []func(g *graph.Graph, trial int) runner.Tester{
 						func(g *graph.Graph, trial int) runner.Tester {
 							if b.proto == "sim-high" {
-								return protocol.SimHigh{Eps: 1.0 / 3, AvgDegree: g.AvgDegree(), Delta: 0.1,
+								return protocol.SimHigh{Eps: 1.0 / 3, AvgDegree: g.AvgDegree(),
 									Tag: fmt.Sprintf("e12/%s/%d", b.genName, trial)}
 							}
 							return protocol.Unrestricted{Eps: 1.0 / 3, AvgDegree: g.AvgDegree(),

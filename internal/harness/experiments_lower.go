@@ -227,7 +227,7 @@ func e5Symmetrization() Experiment {
 				if err != nil {
 					return cell{}, err
 				}
-				res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(), Delta: 0.1,
+				res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(),
 					Tag: fmt.Sprintf("e5/%d/%d", ks[ki], trial)}.RunOn(ctx, top)
 				if err != nil {
 					return cell{}, err
@@ -293,7 +293,7 @@ func e6BHM() Experiment {
 				if err != nil {
 					return cell{}, err
 				}
-				res, err := protocol.SimLow{Eps: 0.2, AvgDegree: red.G.AvgDegree(), Delta: 0.1,
+				res, err := protocol.SimLow{Eps: 0.2, AvgDegree: red.G.AvgDegree(),
 					Tag: fmt.Sprintf("e6/%d/%v/%d", b.n, b.allZero, trial)}.RunOn(ctx, top)
 				if err != nil {
 					return cell{}, err

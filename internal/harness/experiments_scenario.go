@@ -61,9 +61,9 @@ type ScenarioConfig struct {
 	// Check audits every trial against ground truth: a "found" verdict's
 	// witness must be a genuine triangle of the instance (an unsound
 	// witness fails the run), and each trial records whether the instance
-	// actually contains a triangle, so misses are visible. The audit uses
-	// the deterministic parallel kernel at RunConfig.IntraWorkers, which
-	// cannot change any result.
+	// actually contains a triangle, so misses are visible. The audit's
+	// triangle search runs at RunConfig.IntraWorkers, which cannot change
+	// any result.
 	Check bool
 }
 
@@ -120,7 +120,7 @@ func RunScenarioTrials(ctx context.Context, cfg RunConfig, sc ScenarioConfig, tr
 		checked, hasTri := false, false
 		if sc.Check {
 			checked = true
-			_, hasTri = si.Graph.FindTriangleN(cfg.intraWorkers())
+			_, hasTri = si.Graph.FindTriangleN(cfg.IntraWorkers)
 			if !rep.TriangleFree {
 				w := rep.Witness
 				if !si.Graph.IsTriangle(w.A, w.B, w.C) {

@@ -152,7 +152,7 @@ func e2aSimLow() Experiment {
 			for ni, n := range ns {
 				plans[ni] = planFor(cfg, trials, farGen(n, d, eps), partition.Disjoint{}, k,
 					func(g *graph.Graph, trial int) runner.Tester {
-						return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
+						return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(),
 							Tag: fmt.Sprintf("e2a/%d/%d", n, trial)}
 					})
 			}
@@ -196,7 +196,7 @@ func e2bSimHigh() Experiment {
 			for ni, n := range ns {
 				plans[ni] = planFor(cfg, trials, farGen(n, degree(n), eps), partition.Disjoint{}, k,
 					func(g *graph.Graph, trial int) runner.Tester {
-						return protocol.SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
+						return protocol.SimHigh{Eps: eps, AvgDegree: g.AvgDegree(),
 							Tag: fmt.Sprintf("e2b/%d/%d", n, trial)}
 					})
 			}
@@ -257,10 +257,10 @@ func e2cOblivious() Experiment {
 					},
 					func(g *graph.Graph, trial int) runner.Tester {
 						if p.regime == "low" {
-							return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
+							return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(),
 								Tag: fmt.Sprintf("e2ca/%d/%d", p.n, trial)}
 						}
-						return protocol.SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
+						return protocol.SimHigh{Eps: eps, AvgDegree: g.AvgDegree(),
 							Tag: fmt.Sprintf("e2ca/%d/%d", p.n, trial)}
 					})
 			}
@@ -493,10 +493,10 @@ func e10NoDup() Experiment {
 					Testers: []func(g *graph.Graph, trial int) runner.Tester{
 						func(g *graph.Graph, trial int) runner.Tester {
 							if b.proto == "sim-low" {
-								return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
+								return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(),
 									Tag: fmt.Sprintf("e10/%s/%d", b.pt.Name(), trial)}
 							}
-							return protocol.SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
+							return protocol.SimHigh{Eps: eps, AvgDegree: g.AvgDegree(),
 								Tag: fmt.Sprintf("e10/%s/%d", b.pt.Name(), trial)}
 						},
 					},

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"tricomm/internal/harness/runner"
-	"tricomm/internal/parwork"
 )
 
 // Table is a rendered experiment result.
@@ -131,18 +130,16 @@ type RunConfig struct {
 	// Jobs is the trial worker-pool width; ≤ 0 means GOMAXPROCS. Tables
 	// are bit-identical at every value (see internal/harness/runner).
 	Jobs int
-	// IntraWorkers fans a single trial's graph kernels (triangle counts,
-	// certificate audits) across goroutines; ≤ 0 defers to
-	// TRICOMM_INTRA_WORKERS, then 1. The parallel kernels are
-	// bit-identical to the serial ones, so tables never depend on it.
+	// IntraWorkers is the triangle-search width of a trial: the one-round
+	// referees' searches and the scenario audit run on up to this many
+	// goroutines; ≤ 0 defers to TRICOMM_INTRA_WORKERS, then 1. The
+	// parallel searches return the serial answers, so tables never depend
+	// on it.
 	IntraWorkers int
 }
 
 // jobs returns the normalized worker count.
 func (c RunConfig) jobs() int { return runner.Jobs(c.Jobs) }
-
-// intraWorkers returns the normalized intra-trial worker count.
-func (c RunConfig) intraWorkers() int { return parwork.Workers(c.IntraWorkers) }
 
 func (c RunConfig) trials(def int) int {
 	if c.Trials > 0 {

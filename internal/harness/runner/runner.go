@@ -174,10 +174,10 @@ type Plan struct {
 	// Testers construct the protocols to run on the trial's shared
 	// topology, in order.
 	Testers []func(g *graph.Graph, trial int) Tester
-	// IntraWorkers fans each session's per-player hot loops across up to
-	// this many goroutines (≤ 0 defers to TRICOMM_INTRA_WORKERS). Results
-	// are bit-identical at every width, so it composes freely with
-	// trial-level Workers.
+	// IntraWorkers is the one-round referees' triangle-search width
+	// (≤ 0 defers to TRICOMM_INTRA_WORKERS; see Topology.WithIntraWorkers).
+	// Results are bit-identical at every width, so it composes freely
+	// with trial-level Workers.
 	IntraWorkers int
 }
 

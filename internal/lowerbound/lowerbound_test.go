@@ -326,7 +326,7 @@ func TestBHMSolvedByTester(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := protocol.SimLow{
-				Eps: 0.2, AvgDegree: red.G.AvgDegree(), Delta: 0.1,
+				Eps: 0.2, AvgDegree: red.G.AvgDegree(),
 			}.RunOn(context.Background(), top)
 			if err != nil {
 				t.Fatal(err)
@@ -412,7 +412,7 @@ func TestSymmetrizationCostRelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree(), Delta: 0.1}.
+		res, err := protocol.SimLow{Eps: 0.1, AvgDegree: inst.G.AvgDegree()}.
 			RunOn(context.Background(), top)
 		if err != nil {
 			t.Fatal(err)

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"tricomm/internal/bitset"
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
-	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 )
 
@@ -195,26 +193,11 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 			posted.Reset(n)
 			var arms []int
 			for _, pl := range players {
-				// The filter predicate only reads the posted set (Has is a
-				// pure stamp comparison; no Adds run during the scan) and
-				// queries the shared key, so it fans across workers; a row's
-				// neighbors are distinct, so deferring the Adds to the serial
-				// loop below cannot change which arms are kept. Order is
-				// preserved, so the board transcript is identical at any
-				// width.
-				done := boardParRegion(board, pl.Workers)
-				freshNbrs := parwork.Filter(pl.Workers, pl.View().Neighbors(cd.v), func(_ int, u32 int32) bool {
-					uu := int(u32)
-					return !posted.Has(uu) && key.Bernoulli(uint64(uu), p)
-				})
-				done()
 				var fresh []int
-				if len(freshNbrs) > 0 {
-					fresh = make([]int, len(freshNbrs))
-					for fi, u32 := range freshNbrs {
-						uu := int(u32)
+				for _, u32 := range pl.View().Neighbors(cd.v) {
+					if uu := int(u32); !posted.Has(uu) && key.Bernoulli(uint64(uu), p) {
 						posted.Add(uu)
-						fresh[fi] = uu
+						fresh = append(fresh, uu)
 					}
 				}
 				if len(arms)+len(fresh) > capTotal {
@@ -237,10 +220,8 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 			// Closing: the first player holding an edge between two posted
 			// arms posts the triangle.
 			for _, pl := range players {
-				done := boardParRegion(board, pl.Workers)
-				tri, ok := closeArmsN(pl.View(), cd.v, arms, pl.Workers)
-				done()
-				if ok {
+				if u1, u2, ok := pl.View().FirstArmPair(arms); ok {
+					tri := graph.Triangle{A: cd.v, B: u1, C: u2}.Canon()
 					var w wire.Writer
 					if err := vc.Put(&w, tri.A); err != nil {
 						return res, err
@@ -266,27 +247,4 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 	res.Stats = board.Stats()
 	attributePhases(&res, res.Stats)
 	return res, nil
-}
-
-// closeArmsN looks in view for an edge between two arms of the star at v.
-// FirstArmPairN scans each arm's remaining partners through the view's
-// dense shadows when present (one bit test per candidate instead of a
-// hash probe), fanning the outer scan across up to workers goroutines
-// with the serial-first-hit reduction — the same first pair the nested
-// HasEdge loop found, at any width.
-func closeArmsN(view *graph.Graph, v int, arms []int, workers int) (graph.Triangle, bool) {
-	if u1, u2, ok := view.FirstArmPairN(arms, workers); ok {
-		return graph.Triangle{A: v, B: u1, C: u2}.Canon(), true
-	}
-	return graph.Triangle{}, false
-}
-
-// boardParRegion times an intra-phase parallel region against the board's
-// observability meter; at width 1 it is free (metrics only, never Stats).
-func boardParRegion(b *comm.Board, workers int) func() {
-	if workers <= 1 {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { b.ObserveParallel(time.Since(t0)) }
 }

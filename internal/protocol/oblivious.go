@@ -8,7 +8,6 @@ import (
 	"tricomm/internal/blocks"
 	"tricomm/internal/comm"
 	"tricomm/internal/wire"
-	"tricomm/internal/xrand"
 )
 
 // SimOblivious is the degree-oblivious simultaneous tester (§3.4.3,
@@ -80,20 +79,8 @@ func (s SimOblivious) RunOn(ctx context.Context, top *comm.Topology) (Result, er
 	if tag == "" {
 		tag = "simobl"
 	}
-	n := top.N()
-	var res Result
-	stats, err := comm.RunSimultaneousOn(ctx, top,
-		func(pl *comm.SimPlayer) (comm.Msg, error) { return s.message(pl, tag) },
-		func(_ *xrand.Shared, msgs []comm.Msg) error {
-			r, err := simRefereeResult(n, msgs, decodeInstanceLists(n), top.IntraWorkers())
-			if err != nil {
-				return err
-			}
-			res = r
-			return nil
-		})
-	res.Stats = stats
-	return res, err
+	return runOneRound(ctx, top, func(pl *comm.SimPlayer) (comm.Msg, error) { return s.message(pl, tag) },
+		decodeInstanceLists(top.N()))
 }
 
 // message is player pl's message: an instance count, then per guess
@@ -112,9 +99,7 @@ func (s SimOblivious) message(pl *comm.SimPlayer, tag string) (comm.Msg, error) 
 	if math.Pow(2, float64(lo)) < sqrtN {
 		// Guesses rise with the exponent, so the low instances are a
 		// prefix of [lo, hi], present exactly when the first one is.
-		done := simParRegion(pl)
-		touching = blocks.TouchingEdgesN(pl.Edges, r, pl.Workers)
-		done()
+		touching = blocks.TouchingEdges(pl.Edges, r)
 	}
 	var w wire.Writer
 	w.WriteUvarint(uint64(hi - lo + 1))
@@ -127,9 +112,7 @@ func (s SimOblivious) message(pl *comm.SimPlayer, tag string) (comm.Msg, error) 
 			// AlgHigh instance for this guess.
 			pS := math.Min(t.C*math.Cbrt(float64(n)*float64(n)/(s.Eps*guess))/float64(n), 1)
 			sample := pl.Shared.Key(fmt.Sprintf("vsample/%s/high/%d", tag, exp)).Sample(pS)
-			done := simParRegion(pl)
-			out = blocks.InducedEdgesN(pl.Edges, sample, pl.Workers)
-			done()
+			out = blocks.InducedEdges(pl.Edges, sample)
 			capPer = s.instanceCapHigh(n, localAvg)
 		} else {
 			// AlgLow instance; S depends on the guess.
@@ -166,24 +149,6 @@ func (ExactBaseline) Name() string { return "exact-baseline" }
 // RunOn executes the baseline in the simultaneous model, reusing top's
 // cached player views.
 func (ExactBaseline) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {
-	n := top.N()
-	var res Result
-	stats, err := comm.RunSimultaneousOn(ctx, top,
-		func(pl *comm.SimPlayer) (comm.Msg, error) {
-			var w wire.Writer
-			if err := wire.NewEdgeCodec(pl.N).PutEdgeList(&w, pl.Edges); err != nil {
-				return comm.Msg{}, err
-			}
-			return comm.FromWriter(&w), nil
-		},
-		func(_ *xrand.Shared, msgs []comm.Msg) error {
-			r, err := simRefereeResult(n, msgs, decodeEdgeList(n), top.IntraWorkers())
-			if err != nil {
-				return err
-			}
-			res = r
-			return nil
-		})
-	res.Stats = stats
-	return res, err
+	return runOneRound(ctx, top, func(pl *comm.SimPlayer) (comm.Msg, error) { return edgeListMsg(pl.N, pl.Edges) },
+		decodeEdgeList(top.N()))
 }

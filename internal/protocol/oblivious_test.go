@@ -178,26 +178,24 @@ func obliviousCases(t *testing.T) []obliviousCase {
 }
 
 // TestObliviousMessageMatchesOracle requires every player's message to be
-// the per-instance loop's, bit for bit, at widths 1, 4 and 8.
+// the per-instance loop's, bit for bit.
 func TestObliviousMessageMatchesOracle(t *testing.T) {
 	var low, high, mixed, capped int
 	for _, c := range obliviousCases(t) {
 		s := SimOblivious{Eps: c.eps}
 		for j, edges := range c.inputs {
-			want, err := obliviousOracle(s, &comm.SimPlayer{ID: j, K: len(c.inputs), N: c.n, Edges: edges, Shared: c.shared, Workers: 1}, "simobl")
+			pl := &comm.SimPlayer{ID: j, K: len(c.inputs), N: c.n, Edges: edges, Shared: c.shared}
+			want, err := obliviousOracle(s, pl, "simobl")
 			if err != nil {
 				t.Fatalf("%s player %d: oracle: %v", c.name, j, err)
 			}
-			for _, w := range []int{1, 4, 8} {
-				pl := &comm.SimPlayer{ID: j, K: len(c.inputs), N: c.n, Edges: edges, Shared: c.shared, Workers: w}
-				got, err := s.message(pl, "simobl")
-				if err != nil {
-					t.Fatalf("%s player %d width %d: %v", c.name, j, w, err)
-				}
-				if !sameBits(got, want) {
-					t.Fatalf("%s player %d width %d: message of %d bits differs from the oracle's %d",
-						c.name, j, w, got.Bits(), want.Bits())
-				}
+			got, err := s.message(pl, "simobl")
+			if err != nil {
+				t.Fatalf("%s player %d: %v", c.name, j, err)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%s player %d: message of %d bits differs from the oracle's %d",
+					c.name, j, got.Bits(), want.Bits())
 			}
 			l, h, capHit, err := instanceShape(s, c.n, 2*float64(len(edges))/math.Max(float64(c.n), 1), want)
 			if err != nil {

@@ -65,8 +65,8 @@ func testersFor(eps, d float64) []Tester {
 		Unrestricted{Eps: eps, AvgDegree: d},
 		Unrestricted{Eps: eps}, // degree-oblivious interactive
 		UnrestrictedBlackboard{Eps: eps, AvgDegree: d},
-		SimHigh{Eps: eps, AvgDegree: d, Delta: 0.1},
-		SimLow{Eps: eps, AvgDegree: d, Delta: 0.1},
+		SimHigh{Eps: eps, AvgDegree: d},
+		SimLow{Eps: eps, AvgDegree: d},
 		SimOblivious{Eps: eps},
 		ExactBaseline{},
 	}
@@ -199,7 +199,7 @@ func TestBlackboardCheaperThanCoordinator(t *testing.T) {
 func TestSimLowCompleteness(t *testing.T) {
 	g, eps := farLowDegree(7)
 	rate := completeness(t, func(seed uint64) Tester {
-		return SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1, Tag: fmt.Sprintf("t%d", seed)}
+		return SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Tag: fmt.Sprintf("t%d", seed)}
 	}, g, partition.Disjoint{}, 4, 12)
 	if rate < 0.7 {
 		t.Fatalf("sim-low completeness %.2f < 0.7", rate)
@@ -209,7 +209,7 @@ func TestSimLowCompleteness(t *testing.T) {
 func TestSimHighCompleteness(t *testing.T) {
 	g, eps := farHighDegree(8)
 	rate := completeness(t, func(seed uint64) Tester {
-		return SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1, Tag: fmt.Sprintf("t%d", seed)}
+		return SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Tag: fmt.Sprintf("t%d", seed)}
 	}, g, partition.Disjoint{}, 4, 12)
 	if rate < 0.7 {
 		t.Fatalf("sim-high completeness %.2f < 0.7", rate)
@@ -266,7 +266,7 @@ func TestTestingCheaperThanExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tester := range []Tester{
-		SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1},
+		SimLow{Eps: eps, AvgDegree: g.AvgDegree()},
 		SimOblivious{Eps: eps},
 	} {
 		res, err := tester.RunOn(context.Background(), top)
@@ -283,7 +283,7 @@ func TestSimCapsBoundMessages(t *testing.T) {
 	// Per-player message bits must respect cap·edgewidth (+ header).
 	g, eps := farHighDegree(14)
 	d := g.AvgDegree()
-	s := SimHigh{Eps: eps, AvgDegree: d, Delta: 0.1}
+	s := SimHigh{Eps: eps, AvgDegree: d}
 	top := topFor(t, g, partition.All{}, 3, 9)
 	res, err := s.RunOn(context.Background(), top)
 	if err != nil {
@@ -300,8 +300,8 @@ func TestSimCapsBoundMessages(t *testing.T) {
 func TestSimultaneousIsOneRound(t *testing.T) {
 	g, eps := farLowDegree(15)
 	for _, tester := range []Tester{
-		SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1},
-		SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1},
+		SimLow{Eps: eps, AvgDegree: g.AvgDegree()},
+		SimHigh{Eps: eps, AvgDegree: g.AvgDegree()},
 		SimOblivious{Eps: eps},
 		ExactBaseline{},
 	} {

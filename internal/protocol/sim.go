@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"tricomm/internal/blocks"
 	"tricomm/internal/comm"
@@ -39,11 +38,15 @@ func (t SimTunables) orDefault() SimTunables {
 	return t
 }
 
+// capDelta is the error target δ that sizes the SimHigh and SimLow
+// Markov caps.
+const capDelta = 0.1
+
 // simRefereeResult runs the standard referee: union the received edge
 // lists and search them for a triangle. Every received edge is a real
 // input edge, so a reported triangle is always genuine (one-sided error).
-// The triangle search fans across up to workers goroutines (raw request;
-// ≤0 defers to the environment) with the same witness at any width.
+// The triangle search runs on up to workers goroutines (see
+// graph.Workers) and finds the same witness at any width.
 func simRefereeResult(n int, msgs []comm.Msg, decode func(m comm.Msg) ([]wire.Edge, error), workers int) (Result, error) {
 	b := graph.NewBuilder(n)
 	for _, m := range msgs {
@@ -64,15 +67,29 @@ func simRefereeResult(n int, msgs []comm.Msg, decode func(m comm.Msg) ([]wire.Ed
 	return res, nil
 }
 
-// simParRegion times an intra-phase parallel region of a simultaneous
-// player for the observability meter; at width 1 it is free (metrics
-// only, never Stats).
-func simParRegion(p *comm.SimPlayer) func() {
-	if p.Workers <= 1 {
-		return func() {}
+// runOneRound runs a one-round tester over top: every player sends
+// message(pl), and the referee decodes the k messages with decode and
+// searches their union for a triangle on the topology's search width.
+func runOneRound(ctx context.Context, top *comm.Topology, message comm.SimPlayerFunc, decode func(m comm.Msg) ([]wire.Edge, error)) (Result, error) {
+	var res Result
+	stats, err := comm.RunSimultaneousOn(ctx, top, message,
+		func(_ *xrand.Shared, msgs []comm.Msg) error {
+			r, err := simRefereeResult(top.N(), msgs, decode, top.IntraWorkers())
+			res = r
+			return err
+		})
+	res.Stats = stats
+	return res, err
+}
+
+// edgeListMsg is a message carrying edges as one edge list over n
+// vertices.
+func edgeListMsg(n int, edges []wire.Edge) (comm.Msg, error) {
+	var w wire.Writer
+	if err := wire.NewEdgeCodec(n).PutEdgeList(&w, edges); err != nil {
+		return comm.Msg{}, err
 	}
-	t0 := time.Now()
-	return func() { p.ObserveParallel(time.Since(t0)) }
+	return comm.FromWriter(&w), nil
 }
 
 func decodeEdgeList(n int) func(m comm.Msg) ([]wire.Edge, error) {
@@ -117,8 +134,6 @@ type SimHigh struct {
 	Eps float64
 	// AvgDegree is the (known) average degree d.
 	AvgDegree float64
-	// Delta is the error target used to size the Markov cap.
-	Delta float64
 	// Tunables are the constant factors.
 	Tunables SimTunables
 	// Tag scopes the shared randomness.
@@ -143,13 +158,9 @@ func (s SimHigh) SampleProb(n int) float64 {
 // Cap returns the per-player edge cap (the paper's l, scaled).
 func (s SimHigh) Cap(n int) int {
 	t := s.Tunables.orDefault()
-	delta := s.Delta
-	if delta <= 0 {
-		delta = 0.1
-	}
 	p := s.SampleProb(n)
 	expected := p * p * float64(n) * s.AvgDegree / 2
-	return int(math.Ceil(t.CapSlack / delta * (expected + 1)))
+	return int(math.Ceil(t.CapSlack / capDelta * (expected + 1)))
 }
 
 // RunOn executes the tester in the simultaneous model, reusing top's
@@ -165,31 +176,10 @@ func (s SimHigh) RunOn(ctx context.Context, top *comm.Topology) (Result, error) 
 	n := top.N()
 	p := s.SampleProb(n)
 	capPer := s.Cap(n)
-	var res Result
-	stats, err := comm.RunSimultaneousOn(ctx, top,
-		func(pl *comm.SimPlayer) (comm.Msg, error) {
-			done := simParRegion(pl)
-			out := blocks.InducedEdgesN(pl.Edges, pl.Shared.Key("vsample/"+tag).Sample(p), pl.Workers)
-			done()
-			if len(out) > capPer {
-				out = out[:capPer]
-			}
-			var w wire.Writer
-			if err := wire.NewEdgeCodec(pl.N).PutEdgeList(&w, out); err != nil {
-				return comm.Msg{}, err
-			}
-			return comm.FromWriter(&w), nil
-		},
-		func(_ *xrand.Shared, msgs []comm.Msg) error {
-			r, err := simRefereeResult(n, msgs, decodeEdgeList(n), top.IntraWorkers())
-			if err != nil {
-				return err
-			}
-			res = r
-			return nil
-		})
-	res.Stats = stats
-	return res, err
+	return runOneRound(ctx, top, func(pl *comm.SimPlayer) (comm.Msg, error) {
+		out := blocks.InducedEdges(pl.Edges, pl.Shared.Key("vsample/"+tag).Sample(p))
+		return edgeListMsg(pl.N, out[:min(len(out), capPer)])
+	}, decodeEdgeList(n))
 }
 
 // SimLow is the low-degree simultaneous tester (§3.4.2, Algorithms 8/10):
@@ -202,8 +192,6 @@ type SimLow struct {
 	Eps float64
 	// AvgDegree is the (known) average degree d.
 	AvgDegree float64
-	// Delta is the error target used to size the Markov cap.
-	Delta float64
 	// Tunables are the constant factors.
 	Tunables SimTunables
 	// Tag scopes the shared randomness.
@@ -230,11 +218,7 @@ func (s SimLow) Probs(n int) (float64, float64) {
 // Cap returns the per-player edge cap (the paper's q, scaled).
 func (s SimLow) Cap(n int) int {
 	t := s.Tunables.orDefault()
-	delta := s.Delta
-	if delta <= 0 {
-		delta = 0.1
-	}
-	return int(math.Ceil(t.CapSlack * t.C * t.C * (math.Sqrt(float64(n)) + s.AvgDegree) * 2 / delta))
+	return int(math.Ceil(t.CapSlack * t.C * t.C * (math.Sqrt(float64(n)) + s.AvgDegree) * 2 / capDelta))
 }
 
 // RunOn executes the tester in the simultaneous model, reusing top's
@@ -250,31 +234,9 @@ func (s SimLow) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {
 	n := top.N()
 	p1, p2 := s.Probs(n)
 	capPer := s.Cap(n)
-	var res Result
-	stats, err := comm.RunSimultaneousOn(ctx, top,
-		func(pl *comm.SimPlayer) (comm.Msg, error) {
-			r := pl.Shared.Key("vsample/" + tag + "/R").Sample(p2)
-			done := simParRegion(pl)
-			out := blocks.CrossEdges(blocks.TouchingEdgesN(pl.Edges, r, pl.Workers),
-				r, pl.Shared.Key("vsample/"+tag+"/S").Sample(p1))
-			done()
-			if len(out) > capPer {
-				out = out[:capPer]
-			}
-			var w wire.Writer
-			if err := wire.NewEdgeCodec(pl.N).PutEdgeList(&w, out); err != nil {
-				return comm.Msg{}, err
-			}
-			return comm.FromWriter(&w), nil
-		},
-		func(_ *xrand.Shared, msgs []comm.Msg) error {
-			r, err := simRefereeResult(n, msgs, decodeEdgeList(n), top.IntraWorkers())
-			if err != nil {
-				return err
-			}
-			res = r
-			return nil
-		})
-	res.Stats = stats
-	return res, err
+	return runOneRound(ctx, top, func(pl *comm.SimPlayer) (comm.Msg, error) {
+		r := pl.Shared.Key("vsample/" + tag + "/R").Sample(p2)
+		out := blocks.CrossEdges(blocks.TouchingEdges(pl.Edges, r), r, pl.Shared.Key("vsample/"+tag+"/S").Sample(p1))
+		return edgeListMsg(pl.N, out[:min(len(out), capPer)])
+	}, decodeEdgeList(n))
 }

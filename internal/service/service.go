@@ -13,7 +13,6 @@ import (
 
 	"tricomm"
 	"tricomm/internal/harness/runner"
-	"tricomm/internal/parwork"
 	"tricomm/internal/scenario"
 )
 
@@ -29,12 +28,12 @@ type Config struct {
 	// runner (default 1, which also keeps streamed results in trial
 	// order). Total in-flight sessions are bounded by Workers × TrialJobs.
 	TrialJobs int
-	// IntraWorkers fans a single trial's hot loops — the session's
-	// per-player sampling/closing scans and the Check ground-truth
-	// audit — across goroutines; ≤ 0 defers to the
-	// TRICOMM_INTRA_WORKERS environment variable, then 1. The parallel
-	// paths are bit-identical to the serial ones, so this only trades
-	// wall-clock for cores on a box whose trial-level pool is idle.
+	// IntraWorkers is a trial's triangle-search width: the one-round
+	// referees' searches and the Check ground-truth audit run on up to
+	// this many goroutines (at most 64); ≤ 0 defers to the
+	// TRICOMM_INTRA_WORKERS environment variable, then 1. The searches
+	// return the serial answers, so this only trades wall-clock for
+	// cores on a box whose trial-level pool is idle.
 	IntraWorkers int
 	// KeepJobs bounds how many finished jobs are retained before the
 	// oldest are collected (default 4096).
@@ -80,7 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.TrialJobs <= 0 {
 		c.TrialJobs = 1
 	}
-	c.IntraWorkers = parwork.Workers(c.IntraWorkers)
 	if c.KeepJobs <= 0 {
 		c.KeepJobs = 4096
 	}

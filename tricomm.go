@@ -419,9 +419,6 @@ type Options struct {
 	// AvgDegree, if positive, is the known average degree of the union
 	// graph (required by SimultaneousLow/High; optional for Interactive).
 	AvgDegree float64
-	// Delta is the error target that sizes the SimultaneousLow and
-	// SimultaneousHigh caps (default 0.1); no other protocol reads it.
-	Delta float64
 	// AssumeDisjoint declares that the players' inputs are pairwise
 	// disjoint (no edge duplication), letting the Interactive protocol use
 	// the cheaper deterministic degree estimation of Lemma 3.2.
@@ -441,20 +438,17 @@ type Options struct {
 	// completes with a report byte-identical in verdict/witness/bits to the
 	// fault-free run, or fails with ErrSessionAborted.
 	Faults string
-	// IntraWorkers fans a single session's per-player hot loops (candidate
-	// scans, sampling filters, arm closing, sketch scans) across up to this
-	// many goroutines; ≤ 0 defers to TRICOMM_INTRA_WORKERS, default 1.
-	// Reports are bit-identical at every width — the knob trades only wall
-	// clock.
+	// IntraWorkers is the width of the one-round referees' triangle
+	// search: it runs on up to this many goroutines (at most 64); ≤ 0
+	// defers to TRICOMM_INTRA_WORKERS, default 1. The players compute
+	// serially, each on its own goroutine. Reports are bit-identical at
+	// every width — the knob trades only wall clock.
 	IntraWorkers int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Eps <= 0 {
 		o.Eps = 0.1
-	}
-	if o.Delta <= 0 {
-		o.Delta = 0.1
 	}
 	return o
 }
@@ -516,9 +510,9 @@ func (o Options) runner() (runner, error) {
 	case InteractiveBlackboard:
 		return protocol.UnrestrictedBlackboard{Eps: o.Eps, AvgDegree: o.AvgDegree}, nil
 	case SimultaneousLow:
-		return protocol.SimLow{Eps: o.Eps, AvgDegree: o.AvgDegree, Delta: o.Delta}, nil
+		return protocol.SimLow{Eps: o.Eps, AvgDegree: o.AvgDegree}, nil
 	case SimultaneousHigh:
-		return protocol.SimHigh{Eps: o.Eps, AvgDegree: o.AvgDegree, Delta: o.Delta}, nil
+		return protocol.SimHigh{Eps: o.Eps, AvgDegree: o.AvgDegree}, nil
 	case Auto, SimultaneousOblivious:
 		return protocol.SimOblivious{Eps: o.Eps}, nil
 	case Exact:
